@@ -5,7 +5,7 @@
     python scripts/rank_tables.py --max-n 6 --with-n7
     python scripts/rank_tables.py --with-n8        # tens of minutes
 
-The n = 7 and n = 8 columns are probabilistic over Q (two 31-bit primes);
+The n = 7 and n = 8 columns are probabilistic over Q (two primes near 2^20);
 everything up to n = 6 is exact over Z.
 """
 

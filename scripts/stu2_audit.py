@@ -8,12 +8,10 @@ quotient summary at the end reproduces the expected table rows.
 """
 
 import argparse
-import math
 import sys
 
 from jacobitrees import braidlie
-from jacobitrees.intlinalg import snf_from_rows
-from jacobitrees.lie import to_lyndon_coordinates
+from jacobitrees.cli import compute_quotient
 
 
 def main() -> int:
@@ -27,17 +25,10 @@ def main() -> int:
             ("even", braidlie.MODEL_EVEN_DIM),
         ):
             print(f"== degree {n}, {parity}")
-            rows = []
             for w in braidlie.source_words(n):
                 v = braidlie.doubling_image(w, n, model)
                 print(f"  {w}: {v.serialize() if not v.is_zero else '0'}")
-                if v.is_zero:
-                    continue
-                coords = to_lyndon_coordinates(v, n)
-                row = {j: c for j, c in enumerate(coords) if c}
-                if row:
-                    rows.append(row)
-            res = snf_from_rows(rows, math.factorial(n - 1))
+            res = compute_quotient(n, ("as", "ihx", "stu2"), parity, "lyndon")
             print(
                 f"  quotient: rank {res.free_rank}, "
                 f"torsion {res.torsion or 'none'}"

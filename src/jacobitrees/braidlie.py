@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .lie import is_lyndon, standard_factorization
 from .trees import Tree, TreeVector, graft, leaf
 
 # monomials: ("g", mover, target) with mover > target, or ("b", left, right)
@@ -206,20 +207,11 @@ class BraidCalculus:
 # word combinatorics for the relation sources
 
 
-def is_lyndon_word(w: tuple[int, ...]) -> bool:
-    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
-
-
-def _standard_split(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    v = min(w[i:] for i in range(1, len(w)))
-    return w[: len(w) - len(v)], v
-
-
 def _word_bracket(w: tuple[int, ...], mover: int) -> Mono:
     """Standard Lyndon bracketing over generators p(mover, letter)."""
     if len(w) == 1:
         return ("g", mover, w[0])
-    u, v = _standard_split(w)
+    u, v = standard_factorization(w)
     return ("b", _word_bracket(u, mover), _word_bracket(v, mover))
 
 
@@ -240,7 +232,7 @@ def source_words(n: int) -> list[tuple[int, ...]]:
             if perm in seen:
                 continue
             seen.add(perm)
-            if is_lyndon_word(perm):
+            if is_lyndon(perm):
                 out.append(perm)
     return sorted(set(out))
 

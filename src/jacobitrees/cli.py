@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import braidlie, intlinalg, magnus, relations
+from . import intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
 from .words import WordError
 from .intlinalg import (
@@ -25,7 +25,6 @@ from .intlinalg import (
     cache_key,
     cache_load,
     cache_store,
-    rank_modp_rows,
     snf_from_rows,
 )
 from .lie import lyndon_basis, straighten_vector, to_lyndon_coordinates
@@ -109,14 +108,8 @@ def stu2_lyndon_rows(n: int, parity: str):
     Coordinates come from the AS/IHX straightening route, whose agreement
     with the expansion route is a tested invariant.
     """
-    model = (
-        braidlie.MODEL_ODD_DIM if parity == "odd" else braidlie.MODEL_EVEN_DIM
-    )
     index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
-    for w in braidlie.source_words(n):
-        v = braidlie.doubling_image(w, n, model)
-        if v.is_zero:
-            continue
+    for v in relations.stu2_relations(n, parity).vectors():
         row = {index[k]: c for k, c in straighten_vector(v).items()}
         if row:
             yield row
@@ -137,7 +130,6 @@ def compute_quotient(
         # the degree-1 chord with trivial decoration dies definitionally
         if "stu2" in kinds:
             return SnfResult(invariant_factors=[1], rank=1, cols=1)
-        rank = 1 if ("as" in kinds or "ihx" in kinds) else 0
         return SnfResult(invariant_factors=[], rank=0, cols=1)
 
     if method == "snf":
@@ -155,14 +147,10 @@ def compute_quotient(
     if method == "lyndon":
         return snf_from_rows(rows, cols)
     if method == "modular":
-        try:
-            from .intlinalg import rank_modp_rows_dense
-
-            ranks = rank_modp_rows_dense(rows, cols)
-        except ImportError:  # numpy missing: slower exact-same-contract path
-            ranks = rank_modp_rows(rows, cols)
-        values = sorted(set(ranks.values()))
-        rank = values[-1]
+        ranks = intlinalg.rank_modp_rows_dense(rows, cols)
+        # a rank mod p is a lower bound on the rank over Q, so the larger
+        # of the two is the better bound
+        rank = max(ranks.values())
         return SnfResult(
             invariant_factors=[1] * rank,
             rank=rank,
@@ -293,8 +281,11 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_reduce(config: RunConfig) -> int:
     text = config.extra.get("expr")
     if config.extra.get("input_file"):
-        with open(config.extra["input_file"]) as fh:
-            text = fh.read().strip()
+        try:
+            with open(config.extra["input_file"]) as fh:
+                text = fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read input file: {exc}") from exc
     if not text:
         raise UsageError("reduce needs an input file or --expr")
     try:

@@ -5,7 +5,8 @@ The workhorse is IntLattice, an incremental row-Hermite-form accumulator
 first accumulating the rows into a fully reduced Hermite basis: rows with
 unit pivots then split off structurally (their pivot columns carry no other
 entries), and only the small non-unit residue goes through generic
-minimum-pivot elimination.  Everything is deterministic.
+minimum-pivot elimination.  Ranks too large for exact elimination are taken
+modulo two primes by rank_modp_rows_dense.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .trees import Tree, TreeVector
@@ -22,9 +23,6 @@ from .trees import Tree, TreeVector
 #: Columns beyond which exact elimination is refused and callers should use
 #: modular rank instead.
 EXACT_COLUMN_THRESHOLD = 200_000
-
-#: Default primes for modular rank (31-bit).
-DEFAULT_PRIMES = (2147483629, 2147483587)
 
 
 class LinalgError(ValueError):
@@ -44,51 +42,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         y, ny = ny, y - q * ny
         g, ng = ng, g - q * ng
     return x, y, g
-
-
-@dataclass
-class SparseIntMatrix:
-    """Coordinate-listed integer matrix; zero entries are never stored."""
-
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (i, j), v in list(self.entries.items()):
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise LinalgError(f"entry ({i},{j}) out of range")
-            if v == 0:
-                del self.entries[(i, j)]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Row], cols: int) -> "SparseIntMatrix":
-        entries = {
-            (i, j): v for i, row in enumerate(rows) for j, v in row.items() if v
-        }
-        return SparseIntMatrix(rows=len(rows), cols=cols, entries=entries)
-
-    def row_dicts(self) -> list[Row]:
-        out: list[Row] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def dump(self) -> str:
-        lines = [f"{self.rows} {self.cols} {len(self.entries)}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def load(text: str) -> "SparseIntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        r, c, nnz = map(int, lines[0].split())
-        entries = {}
-        for ln in lines[1 : nnz + 1]:
-            i, j, v = ln.split()
-            entries[(int(i), int(j))] = int(v)
-        return SparseIntMatrix(rows=r, cols=c, entries=entries)
 
 
 @dataclass
@@ -346,10 +299,6 @@ def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
     return SnfResult(invariant_factors=factors, rank=len(factors), cols=cols)
 
 
-def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
-    return snf_from_rows(m.row_dicts(), m.cols)
-
-
 # ---------------------------------------------------------------------------
 # tree-basis wrappers
 
@@ -371,49 +320,6 @@ def cokernel(relations: Iterable[TreeVector], basis: Sequence[Tree]) -> SnfResul
     )
 
 
-def rank_modp_rows(
-    rows: Iterable[Row], cols: int, primes: Sequence[int] = DEFAULT_PRIMES
-) -> dict[int, int]:
-    """Rank of the row span modulo each prime, by streaming echelon."""
-    primes = tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise LinalgError("primes must be distinct")
-    for p in primes:
-        if p <= 2:
-            raise LinalgError("primes must exceed 2")
-    echelons: dict[int, dict[int, Row]] = {p: {} for p in primes}
-    for row in rows:
-        for p in primes:
-            vec = {j: v % p for j, v in row.items() if v % p}
-            ech = echelons[p]
-            while vec:
-                j = min(vec)
-                if j not in ech:
-                    inv = pow(vec[j], -1, p)
-                    ech[j] = {c: (v * inv) % p for c, v in vec.items()}
-                    break
-                piv = ech[j]
-                f = vec[j]
-                for c, v in piv.items():
-                    nv = (vec.get(c, 0) - f * v) % p
-                    if nv:
-                        vec[c] = nv
-                    else:
-                        vec.pop(c, None)
-    return {p: len(ech) for p, ech in echelons.items()}
-
-
-def rank_modp(
-    relations: Iterable[TreeVector],
-    basis: Sequence[Tree],
-    primes: Sequence[int] = DEFAULT_PRIMES,
-) -> dict[int, int]:
-    index = {t: i for i, t in enumerate(basis)}
-    return rank_modp_rows(
-        (vector_to_row(v, index) for v in relations), len(basis), primes
-    )
-
-
 #: ~2^20 primes: c*R entries stay below 2^40, so a full elimination pass
 #: of < 2^12 pivot subtractions fits in int64 without intermediate mods.
 DENSE_PRIMES = (1048573, 1048583)
@@ -422,16 +328,19 @@ DENSE_PRIMES = (1048573, 1048583)
 def rank_modp_rows_dense(
     rows: Iterable[Row], cols: int, primes: Sequence[int] = DENSE_PRIMES
 ) -> dict[int, int]:
-    """Vectorised variant of rank_modp_rows for wide, filling problems.
+    """Rank of the row span modulo each of the distinct primes.
 
-    Same contract; needs numpy.  Pivot rows are kept dense and normalised,
-    incoming rows are reduced with lazily deferred mods (hence the smaller
-    default primes).
+    Pivot rows are kept dense and normalised, incoming rows are reduced with
+    lazily deferred mods (hence primes near 2^20).  numpy is imported here,
+    not at module level, so that importing the CLI stays cheap.
     """
     import bisect
 
     import numpy as np
 
+    primes = tuple(primes)
+    if len(set(primes)) != len(primes):
+        raise LinalgError("primes must be distinct")
     for p in primes:
         if p <= 2 or p * p * cols >= 2**62:
             raise LinalgError(f"prime {p} unsafe for lazy int64 reduction")
@@ -489,11 +398,13 @@ def cache_key(**kwargs) -> str:
 
 
 def cache_load(cache_dir: str, key: str) -> SnfResult | None:
+    """The cached result, or None for a missing, unreadable or invalid entry."""
     path = os.path.join(cache_dir, f"{key}.json")
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            return SnfResult.from_json_obj(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    with open(path) as fh:
-        return SnfResult.from_json_obj(json.load(fh))
 
 
 def cache_store(cache_dir: str, key: str, result: SnfResult) -> None:

@@ -150,34 +150,23 @@ def _expand_cached(t: Tree, n: int, odd: bool) -> NcPoly:
     return _expand_node(t, n, n, odd)
 
 
-def expand(v: Tree | TreeVector, n: int | None = None) -> NcPoly:
-    """Commutator expansion: leaf i -> Xi, graft -> xy - yx."""
-    if isinstance(v, Tree):
-        nn = n if n is not None else v.degree
-        return _expand_cached(v, nn, False)
-    if v.decorated:
-        raise LieError("expand applies to undecorated vectors")
-    nn = n if n is not None else v.degree
-    acc = NcPoly.zero(nn, nn)
-    for t, c in v.terms:
-        acc = acc + _expand_cached(t, nn, False).scale(c)
-    return acc
+def expand(
+    v: Tree | TreeVector, n: int | None = None, cfg: GradedConfig | None = None
+) -> NcPoly:
+    """Commutator expansion: leaf i -> Xi, graft -> xy - yx.
 
-
-def expand_graded(v: Tree | TreeVector, cfg: GradedConfig, n: int | None = None) -> NcPoly:
-    """Koszul-signed expansion: graft -> xy - (-1)^(pm*qm) yx.
-
-    For even generator degree this coincides with expand.
+    With cfg, the Koszul-signed expansion graft -> xy - (-1)^(pm*qm) yx;
+    for even generator degree the two coincide.
     """
+    odd = cfg is not None and cfg.odd
+    nn = n if n is not None else v.degree
     if isinstance(v, Tree):
-        nn = n if n is not None else v.degree
-        return _expand_cached(v, nn, cfg.odd)
+        return _expand_cached(v, nn, odd)
     if v.decorated:
         raise LieError("expand applies to undecorated vectors")
-    nn = n if n is not None else v.degree
     acc = NcPoly.zero(nn, nn)
     for t, c in v.terms:
-        acc = acc + _expand_cached(t, nn, cfg.odd).scale(c)
+        acc = acc + _expand_cached(t, nn, odd).scale(c)
     return acc
 
 
@@ -235,10 +224,7 @@ def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[in
     bracketing of a Lyndon word w is w plus lex-larger words, so the system
     is unitriangular over Z.
     """
-    if isinstance(v, Tree):
-        nn = n if n is not None else v.degree
-    else:
-        nn = n if n is not None else v.degree
+    nn = n if n is not None else v.degree
     poly = expand(v, nn).copy_terms()
     basis = {w: i for i, (w, _) in enumerate(lyndon_basis(nn))}
     expansions = _lyndon_expansions(nn)

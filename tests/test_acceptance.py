@@ -10,12 +10,12 @@ import time
 
 import pytest
 
+from jacobitrees.cli import compute_quotient, stu2_lyndon_rows
 from jacobitrees.decorations import decorated_rank
-from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows, snf_from_rows
+from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense
 from jacobitrees.lie import (
     GradedConfig,
     expand,
-    expand_graded,
     lyndon_basis,
     straighten,
     to_lyndon_coordinates,
@@ -43,20 +43,6 @@ ODD_RANK_N7 = 8
 def report(num: int, text: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'}  criterion {num}: {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def stu2_coordinate_rows(n, parity):
-    for v in stu2_relations(n, parity).vectors():
-        coords = to_lyndon_coordinates(v, n)
-        row = {j: c for j, c in enumerate(coords) if c}
-        if row:
-            yield row
-
-
-def lyndon_route_quotient(n, parity=None):
-    cols = math.factorial(n - 1)
-    rows = stu2_coordinate_rows(n, parity) if parity else iter(())
-    return snf_from_rows(rows, cols)
 
 
 def test_criterion_1_tree_counts():
@@ -93,7 +79,8 @@ def test_criterion_2_lie_ranks():
     n = 6
     basis = lyndon_basis(n)
     for t in enumerate_trees(n):
-        if [straighten(t).get(w, 0) for w, _ in basis] != to_lyndon_coordinates(t, n):
+        s = straighten(t)
+        if [s.get(w, 0) for w, _ in basis] != to_lyndon_coordinates(t, n):
             ok = False
             break
     killed = all(
@@ -120,12 +107,12 @@ def test_criterion_3_jacobi_tables_odd():
                 tree_list(n),
             )
         else:
-            res = lyndon_route_quotient(n, "odd")
+            res = compute_quotient(n, ("as", "ihx", "stu2"), "odd", "lyndon")
         ranks.append(res.free_rank)
         torsion_free = torsion_free and not res.torsion
     ok = ranks == ODD_RANKS and torsion_free
-    # n = 7: probabilistic rank over Q via two 31-bit primes
-    mod_ranks = rank_modp_rows(stu2_coordinate_rows(7, "odd"), math.factorial(6))
+    # n = 7: probabilistic rank over Q via two primes near 2^20
+    mod_ranks = rank_modp_rows_dense(stu2_lyndon_rows(7, "odd"), math.factorial(6))
     quotient7 = {p: math.factorial(6) - r for p, r in mod_ranks.items()}
     ok = ok and set(quotient7.values()) == {ODD_RANK_N7}
     report(
@@ -140,9 +127,6 @@ def test_criterion_3_jacobi_tables_odd():
     reason="optional n=8 check takes ~6 minutes; set JACOBITREES_ACCEPT_N8=1",
 )
 def test_criterion_3_optional_degree8():
-    from jacobitrees.cli import stu2_lyndon_rows
-    from jacobitrees.intlinalg import rank_modp_rows_dense
-
     cols = math.factorial(7)
     ranks = rank_modp_rows_dense(stu2_lyndon_rows(8, "odd"), cols)
     quotient = {p: cols - r for p, r in ranks.items()}
@@ -164,7 +148,7 @@ def test_criterion_4_jacobi_tables_even():
                 tree_list(n),
             )
         else:
-            res = lyndon_route_quotient(n, "even")
+            res = compute_quotient(n, ("as", "ihx", "stu2"), "even", "lyndon")
         ranks.append(res.free_rank)
     ok = ranks == EVEN_RANKS
     report(4, f"A^T,even ranks n=1..6 = {ranks}", ok)
@@ -173,14 +157,13 @@ def test_criterion_4_jacobi_tables_even():
 def test_criterion_5_oracle_equivalence():
     ok = True
     for n in range(2, 6):
-        combos = [("as", "ihx", None), ("as", "ihx", "odd"), ("as", "ihx", "even")]
-        for combo in combos:
-            parity = combo[2]
+        for parity in (None, "odd", "even"):
+            kinds = ("as", "ihx", "stu2") if parity else ("as", "ihx")
             sets = [as_relations(n), ihx_relations(n)]
             if parity:
                 sets.append(stu2_relations(n, parity))
             full = cokernel(relation_union(sets), tree_list(n))
-            lyndon = lyndon_route_quotient(n, parity)
+            lyndon = compute_quotient(n, kinds, parity, "lyndon")
             same = (
                 full.free_rank == lyndon.free_rank
                 and full.torsion == lyndon.torsion
@@ -228,7 +211,7 @@ def test_criterion_8_graded_rank_stability():
             words = {}
             lat = IntLattice(math.factorial(n))
             for t in enumerate_trees(n):
-                poly = expand_graded(t, cfg)
+                poly = expand(t, cfg=cfg)
                 row = {}
                 for w, c in poly.copy_terms().items():
                     j = words.setdefault(w, len(words))

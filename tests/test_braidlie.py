@@ -1,7 +1,7 @@
 """Structural identities of the bracket calculus behind the stu2 families."""
 
 from jacobitrees import braidlie
-from jacobitrees.lie import GradedConfig, expand, expand_graded, to_lyndon_coordinates
+from jacobitrees.lie import GradedConfig, expand, to_lyndon_coordinates
 from jacobitrees.trees import TreeVector, enumerate_trees
 
 MODELS = (braidlie.MODEL_ODD_DIM, braidlie.MODEL_EVEN_DIM)
@@ -59,7 +59,7 @@ def test_koszul_sign_bridge():
     cfg = GradedConfig(generator_degree=1)
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            graded = expand_graded(t, cfg).copy_terms()
+            graded = expand(t, cfg=cfg).copy_terms()
             twisted = {w: _word_sign(w) * c for w, c in graded.items()}
             seq = []
 

@@ -73,6 +73,20 @@ def test_table_degree6_matches_tables(capsys):
     assert all(r[4] == "none" for r in rows)  # odd quotients torsion-free
 
 
+def test_rank_modular_degree5(capsys):
+    for relations, parity, free_rank in (
+        ("as,ihx", (), 24),
+        ("as,ihx,stu2", ("--parity", "odd"), 3),
+        ("as,ihx,stu2", ("--parity", "even"), 2),
+    ):
+        code, out, _ = run_cli(
+            capsys, "rank", "--n", "5", "--relations", relations, *parity,
+            "--method", "modular", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == f"5,{free_rank},unknown,modular,probabilistic over Q"
+
+
 def test_rank_method_cap(capsys):
     code, _, err = run_cli(
         capsys, "rank", "--n", "7", "--relations", "as,ihx", "--method", "snf"
@@ -116,6 +130,18 @@ def test_cache_hits_match_fresh(tmp_path, capsys):
     assert code1 == code2 == 0
     assert json.loads(out1) == json.loads(out2)
     assert list(tmp_path.glob("*.json"))
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
+    code1, out1, _ = run_cli(capsys, *args)
+    (entry,) = tmp_path.glob("*.json")
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert entry.read_text() == text  # recomputed and rewritten
 
 
 def test_reduce_as_generator_is_zero(capsys):
@@ -185,6 +211,15 @@ def test_reduce_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "reduce", str(path))
     assert code == 0
     assert "ZERO" in out
+
+
+def test_reduce_unreadable_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "binary.txt").write_bytes(b"1*[1,2] \xff\xfe")
+    for name in ("missing.txt", "binary.txt"):
+        code, out, err = run_cli(capsys, "reduce", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        assert "cannot read input file" in err
 
 
 def test_reduce_parse_error(capsys):

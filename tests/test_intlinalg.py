@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobitrees.intlinalg import (
+    DENSE_PRIMES,
     IntLattice,
     LinalgError,
     SnfResult,
-    SparseIntMatrix,
     cache_key,
     cache_load,
     cache_store,
     cokernel,
     normal_form,
-    rank_modp,
-    rank_modp_rows,
-    smith_normal_form,
+    rank_modp_rows_dense,
     snf_from_rows,
     vector_to_row,
 )
@@ -45,39 +43,32 @@ def fraction_rank(rows, cols):
 
 
 def test_snf_diag():
-    m = SparseIntMatrix(rows=2, cols=2, entries={(0, 0): 2, (1, 1): 4})
-    res = smith_normal_form(m)
+    res = snf_from_rows([{0: 2}, {1: 4}], 2)
     assert res.invariant_factors == [2, 4]
     assert res.cokernel_text() == "Z/2 + Z/4"
 
 
 def test_snf_as2_matrix():
-    m = SparseIntMatrix(rows=1, cols=2, entries={(0, 0): 1, (0, 1): 1})
-    res = smith_normal_form(m)
+    res = snf_from_rows([{0: 1, 1: 1}], 2)
     assert res.rank == 1
     assert res.free_rank == 1
     assert not res.torsion  # cokernel Z
 
 
 def test_snf_zero_matrix():
-    m = SparseIntMatrix(rows=3, cols=3, entries={})
-    res = smith_normal_form(m)
+    res = snf_from_rows([{}, {}, {}], 3)
     assert res.rank == 0
     assert res.free_rank == 3
 
 
 def test_snf_torsion_mix():
     # rows (2,0),(0,3): factors 1,6 after chain fix?  gcd(2,3)=1, lcm=6
-    m = SparseIntMatrix(rows=2, cols=2, entries={(0, 0): 2, (1, 1): 3})
-    res = smith_normal_form(m)
+    res = snf_from_rows([{0: 2}, {1: 3}], 2)
     assert res.invariant_factors == [1, 6]
 
 
 def test_divisibility_chain_property():
-    m = SparseIntMatrix(
-        rows=3, cols=3, entries={(0, 0): 4, (1, 1): 6, (2, 2): 10}
-    )
-    res = smith_normal_form(m)
+    res = snf_from_rows([{0: 4}, {1: 6}, {2: 10}], 3)
     for a, b in zip(res.invariant_factors, res.invariant_factors[1:]):
         assert b % a == 0
     # determinant invariance: product of factors = |det|
@@ -85,6 +76,14 @@ def test_divisibility_chain_property():
     for d in res.invariant_factors:
         prod *= d
     assert prod == 4 * 6 * 10
+
+
+def _row_dicts(entries, rows):
+    out = [{} for _ in range(rows)]
+    for (i, j), v in entries.items():
+        if v:
+            out[i][j] = v
+    return out
 
 
 @given(st.integers(0, 10_000))
@@ -99,14 +98,13 @@ def test_snf_permutation_invariance(seed):
         for j in range(cols)
         if rng.random() < 0.6
     }
-    m = SparseIntMatrix(rows=rows, cols=cols, entries=dict(entries))
-    res = smith_normal_form(m)
+    res = snf_from_rows(_row_dicts(entries, rows), cols)
     rp = list(range(rows))
     cp = list(range(cols))
     rng.shuffle(rp)
     rng.shuffle(cp)
     perm = {(rp[i], cp[j]): v for (i, j), v in entries.items()}
-    res2 = smith_normal_form(SparseIntMatrix(rows=rows, cols=cols, entries=perm))
+    res2 = snf_from_rows(_row_dicts(perm, rows), cols)
     assert res.invariant_factors == res2.invariant_factors
 
 
@@ -121,6 +119,9 @@ def test_rank_matches_fraction_oracle(seed):
     rows = [{j: v for j, v in r.items() if v} for r in rows]
     res = snf_from_rows(rows, 4)
     assert res.rank == fraction_rank(rows, 4)
+    # exact, not probabilistic: every minor is at most 4! * 5^4 < p in size
+    ranks = rank_modp_rows_dense(rows, 4)
+    assert ranks == {p: fraction_rank(rows, 4) for p in DENSE_PRIMES}
 
 
 def test_cokernel_as_ihx_degree3():
@@ -149,8 +150,11 @@ def test_cokernel_unknown_basis_element():
 def test_rank_modp_as_ihx_degree4():
     # 120 - 3! independent relation rows; spec quotes quotient rank 6
     basis = tree_list(4)
+    index = {t: i for i, t in enumerate(basis)}
     rels = list(relation_union([as_relations(4), ihx_relations(4)]))
-    ranks = rank_modp(iter(rels), basis, primes=(10007, 65537))
+    ranks = rank_modp_rows_dense(
+        (vector_to_row(v, index) for v in rels), len(basis), primes=(10007, 65537)
+    )
     assert ranks == {10007: 114, 65537: 114}
     exact = cokernel(iter(rels), basis)
     assert exact.rank == 114 and exact.free_rank == 6
@@ -166,20 +170,23 @@ def test_rank_modp_agrees_with_exact_all_kinds():
                 sets.append(stu2_relations(n, parity))
             rels = list(relation_union(sets))
             basis = tree_list(n)
+            index = {t: i for i, t in enumerate(basis)}
             exact = cokernel(iter(rels), basis)
-            ranks = rank_modp(iter(rels), basis)
+            ranks = rank_modp_rows_dense(
+                (vector_to_row(v, index) for v in rels), len(basis)
+            )
             assert set(ranks.values()) == {exact.rank}
 
 
 def test_rank_modp_zero_stream():
-    assert rank_modp_rows(iter(()), 5) == {p: 0 for p in (2147483629, 2147483587)}
+    assert rank_modp_rows_dense(iter(()), 5) == {p: 0 for p in DENSE_PRIMES}
 
 
 def test_rank_modp_prime_validation():
     with pytest.raises(LinalgError):
-        rank_modp_rows(iter(()), 3, primes=(7, 7))
+        rank_modp_rows_dense(iter(()), 3, primes=(7, 7))
     with pytest.raises(LinalgError):
-        rank_modp_rows(iter(()), 3, primes=(2, 5))
+        rank_modp_rows_dense(iter(()), 3, primes=(2, 5))
 
 
 def test_normal_form_lattice_member():
@@ -227,14 +234,6 @@ def test_normal_form_saturated_double():
     w, t = lyndon_basis(3)[0]
     v = TreeVector.single(t, 2)
     assert not normal_form(v, iter(rels), basis).is_zero
-
-
-def test_matrix_dump_roundtrip():
-    m = SparseIntMatrix(rows=2, cols=3, entries={(0, 1): -7, (1, 2): 5})
-    text = m.dump()
-    assert text.splitlines()[0] == "2 3 2"
-    m2 = SparseIntMatrix.load(text)
-    assert m2.entries == m.entries
 
 
 def test_snf_result_json_roundtrip():

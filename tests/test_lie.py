@@ -9,7 +9,6 @@ from jacobitrees.lie import (
     LieError,
     NcPoly,
     expand,
-    expand_graded,
     is_lyndon,
     lyndon_basis,
     standard_bracketing,
@@ -72,16 +71,16 @@ def test_as_ihx_expand_to_zero_small():
                 assert expand(v).is_zero
 
 
-def test_expand_graded_even_matches_expand():
+def test_graded_expand_even_matches_expand():
     cfg = GradedConfig(generator_degree=2)
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            assert expand_graded(t, cfg) == expand(t)
+            assert expand(t, cfg=cfg) == expand(t)
 
 
-def test_expand_graded_odd_degree2():
+def test_graded_expand_odd_degree2():
     cfg = GradedConfig(generator_degree=1)
-    p = expand_graded(parse_tree("[1,2]"), cfg)
+    p = expand(parse_tree("[1,2]"), cfg=cfg)
     assert p.copy_terms() == {(1, 2): 1, (2, 1): 1}
 
 
@@ -97,7 +96,7 @@ def _span_rank(polys, n):
 @pytest.mark.parametrize("m", [1, 2])
 def test_graded_span_rank_degree3(m):
     cfg = GradedConfig(generator_degree=m)
-    polys = [expand_graded(t, cfg) for t in enumerate_trees(3)]
+    polys = [expand(t, cfg=cfg) for t in enumerate_trees(3)]
     assert _span_rank(polys, 3) == 2
 
 
