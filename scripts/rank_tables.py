@@ -3,10 +3,12 @@
 
     python scripts/rank_tables.py --max-n 6
     python scripts/rank_tables.py --max-n 6 --with-n7
-    python scripts/rank_tables.py --with-n8        # tens of minutes
+    python scripts/rank_tables.py --with-n8        # about 1.5 minutes
 
-The n = 7 and n = 8 columns are probabilistic over Q (two primes near 2^20);
-everything up to n = 6 is exact over Z.
+The n = 7 and n = 8 columns are probabilistic over Q (two primes near 2^20,
+taken by the blocked engine intlinalg.rank_modp_rows_dense); everything up
+to n = 6 is exact over Z.  At n = 8 most of the time goes into generating
+the relation rows, whose progress goes to stderr.
 """
 
 import argparse

@@ -33,13 +33,15 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .lie import is_lyndon, standard_factorization
-from .trees import Tree, TreeVector, graft, leaf
+from .trees import Tree, TreeVector, leaf
 
 # monomials: ("g", mover, target) with mover > target, or ("b", left, right)
 Mono = tuple
 Element = dict[Mono, int]
+Items = tuple[tuple[Mono, int], ...]
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ def _add(acc: Element, m: Mono, c: int) -> None:
             del acc[m]
 
 
-def _scale(e: Element, c: int) -> Element:
-    return {m: c * v for m, v in e.items()} if c else {}
+def _scale(items: Iterable[tuple[Mono, int]], c: int) -> Items:
+    return tuple((m, c * v) for m, v in items) if c else ()
 
 
 def _is_pure(m: Mono, top: int) -> bool:
@@ -106,25 +108,28 @@ class BraidCalculus:
 
     def __init__(self, model: BraidModel):
         self.model = model
-        self._pair_cache: dict[tuple[Mono, Mono], Element] = {}
+        self._pair_cache: dict[tuple[Mono, Mono], Items] = {}
 
     # -- bracket of two pure-layer words ------------------------------------
 
-    def bracket_pure(self, a: Mono, b: Mono) -> Element:
-        """[a, b] for pure words, rewritten into pure-layer words."""
+    def bracket_pure(self, a: Mono, b: Mono) -> Items:
+        """[a, b] for pure words, rewritten into pure-layer words.
+
+        Returned as the memoised tuple of (word, coefficient) items.
+        """
         key = (a, b)
         cached = self._pair_cache.get(key)
         if cached is not None:
-            return dict(cached)
+            return cached
         la, lb = layer(a), layer(b)
         if la == lb:
-            out: Element = {("b", a, b): 1}
+            out: Items = ((("b", a, b), 1),)
         elif la < lb:
             sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
             out = _scale(self.bracket_pure(b, a), sign)
         else:
-            out = self._act(a, b)
-        self._pair_cache[key] = dict(out)
+            out = tuple(self._act(a, b).items())
+        self._pair_cache[key] = out
         return out
 
     def _act(self, a: Mono, b: Mono) -> Element:
@@ -132,46 +137,46 @@ class BraidCalculus:
         model = self.model
         if b[0] == "g":
             if a[0] == "g":
-                return self._act_gen_gen(a, b)
+                return dict(self._act_gen_gen(a, b))
             # [[a1,a2], b] = [a1,[a2,b]] - (-1)^{|a1||a2|} [a2,[a1,b]]
             a1, a2 = a[1], a[2]
             sign = (-1) ** (_parity(a1, model) * _parity(a2, model))
             out: Element = {}
-            for w, c in self._act_sub(a2, b).items():
-                for m, c2 in self.bracket_pure(a1, w).items():
+            for w, c in self._act_sub(a2, b):
+                for m, c2 in self.bracket_pure(a1, w):
                     _add(out, m, c * c2)
-            for w, c in self._act_sub(a1, b).items():
-                for m, c2 in self.bracket_pure(a2, w).items():
+            for w, c in self._act_sub(a1, b):
+                for m, c2 in self.bracket_pure(a2, w):
                     _add(out, m, -sign * c * c2)
             return out
         # [a, [b1,b2]] = [[a,b1],b2] + (-1)^{|a||b1|} [b1,[a,b2]]
         b1, b2 = b[1], b[2]
         sign = (-1) ** (_parity(a, model) * _parity(b1, model))
         out = {}
-        for w, c in self._act_sub(a, b1).items():
-            for m, c2 in self._act_sub(w, b2).items():
+        for w, c in self._act_sub(a, b1):
+            for m, c2 in self._act_sub(w, b2):
                 _add(out, m, c * c2)
-        for w, c in self._act_sub(a, b2).items():
-            for m, c2 in self.bracket_pure(b1, w).items():
+        for w, c in self._act_sub(a, b2):
+            for m, c2 in self.bracket_pure(b1, w):
                 _add(out, m, sign * c * c2)
         return out
 
-    def _act_sub(self, a: Mono, b: Mono) -> Element:
+    def _act_sub(self, a: Mono, b: Mono) -> Items:
         """[a, b] where layer(a) may exceed layer(b); dispatches as needed."""
         la, lb = layer(a), layer(b)
         if la > lb:
-            return self._act(a, b)
+            return tuple(self._act(a, b).items())
         if la == lb:
-            return {("b", a, b): 1}
+            return ((("b", a, b), 1),)
         sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
-        return _scale(self._act(b, a), sign)
+        return _scale(self._act(b, a).items(), sign)
 
-    def _act_gen_gen(self, a: Mono, b: Mono) -> Element:
+    def _act_gen_gen(self, a: Mono, b: Mono) -> Items:
         """Single generators, layer(a) > layer(b): the three point rules."""
         _, s, u = a
         _, t, v = b
         if u != t and u != v:
-            return {}  # disjoint supports commute
+            return ()  # disjoint supports commute
         sigma = self.model.sigma
         if u == t:
             # [p(s,t), p(t,v)] = -[p(s,t), p(s,v)]
@@ -183,24 +188,19 @@ class BraidCalculus:
 
     # -- full normalisation --------------------------------------------------
 
-    def normalize(self, m: Mono) -> Element:
-        if m[0] == "g":
-            return {m: 1}
-        left = self.normalize(m[1])
-        right = self.normalize(m[2])
+    def bracket(self, left: Element, right: Element) -> Element:
+        """Bilinear bracket of two normalised elements, normalised."""
         out: Element = {}
         for ma, ca in left.items():
             for mb, cb in right.items():
-                for mm, cc in self.bracket_pure(ma, mb).items():
+                for mm, cc in self.bracket_pure(ma, mb):
                     _add(out, mm, ca * cb * cc)
         return out
 
-    def normalize_element(self, e: Element) -> Element:
-        out: Element = {}
-        for m, c in e.items():
-            for mm, cc in self.normalize(m).items():
-                _add(out, mm, c * cc)
-        return out
+    def normalize(self, m: Mono) -> Element:
+        if m[0] == "g":
+            return {m: 1}
+        return self.bracket(self.normalize(m[1]), self.normalize(m[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +241,6 @@ def source_words(n: int) -> list[tuple[int, ...]]:
 # the doubling differential
 
 
-def _substitute(m: Mono, mapping: dict) -> list[tuple[Mono, int]]:
-    """All ways to substitute each generator leaf by the mapped options.
-
-    mapping sends ("g", a, b) to a list of ((mono, sign), ...) options;
-    returns the expansion with one option chosen per leaf occurrence.
-    """
-    if m[0] == "g":
-        return [(mono, sign) for mono, sign in mapping[m]]
-    out = []
-    for lm, ls in _substitute(m[1], mapping):
-        for rm, rs in _substitute(m[2], mapping):
-            out.append((("b", lm, rm), ls * rs))
-    return out
-
-
-def _leaf_movers(m: Mono) -> set[int]:
-    if m[0] == "g":
-        return {m[1]}
-    return _leaf_movers(m[1]) | _leaf_movers(m[2])
-
-
 def _leaf_targets(m: Mono) -> list[int]:
     if m[0] == "g":
         return [m[2]]
@@ -269,9 +248,10 @@ def _leaf_targets(m: Mono) -> list[int]:
 
 
 def _mono_to_tree(m: Mono) -> Tree:
+    """The tree of a multilinear word; its distinct targets are the leaves."""
     if m[0] == "g":
         return leaf(m[2])
-    return graft(_mono_to_tree(m[1]), _mono_to_tree(m[2]))
+    return Tree(None, _mono_to_tree(m[1]), _mono_to_tree(m[2]))
 
 
 def _leaf_order_sign(m: Mono) -> int:
@@ -317,7 +297,8 @@ def bracket_doubling_image(
     acc: Element = {}
 
     # double the repeated target t: copies {t, t+1}, points above t shift up,
-    # and the two leaf occurrences of t take distinct copies (two resolutions)
+    # and the two leaf occurrences of t take distinct copies (two resolutions);
+    # the results are pure words of layer n+1, hence already normal
     def rho(j: int) -> int:
         return j if j < t else j + 1
 
@@ -325,32 +306,24 @@ def bracket_doubling_image(
         for mono, sign in _expand_positional(bracket, t, first, second, rho, n, model):
             _add(acc, mono, sign * (-1) ** t)
 
-    # double the mover n: copies {n, n+1}; each leaf picks a copy
-    movers_options = {}
-
-    def collect(m: Mono):
+    # double the mover n: copies {n, n+1}, each leaf picks a copy.  The sum
+    # over all 2^n choices is the bracket evaluated bilinearly on the sums
+    # g(n, x) + g(n+1, x) at the leaves.  The two choices that leave a copy
+    # unused miss a point; they stay in layer n or repeat a target, so the
+    # multilinear top-layer filter below drops them.
+    def doubled(m: Mono) -> Element:
         if m[0] == "g":
-            movers_options[m] = [
-                (("g", n, m[2]), 1),
-                (("g", n + 1, m[2]), 1),
-            ]
-        else:
-            collect(m[1])
-            collect(m[2])
+            return {("g", n, m[2]): 1, ("g", n + 1, m[2]): 1}
+        return calc.bracket(doubled(m[1]), doubled(m[2]))
 
-    collect(bracket)
-    for mono, sign in _substitute(bracket, movers_options):
-        movers = _leaf_movers(mono)
-        if movers != {n, n + 1}:
-            continue  # one copy unused: misses a point
-        _add(acc, mono, sign * (-1) ** n)
+    for mono, c in doubled(bracket).items():
+        _add(acc, mono, c * (-1) ** n)
 
-    # rewrite to the top layer and keep multilinear words
-    normalized = calc.normalize_element(acc)
+    # keep the multilinear words of the top layer, read as trees
     tree_terms: dict[Tree, int] = {}
     needed = set(range(1, n + 1))
-    for mono, c in normalized.items():
-        if layer(mono) != n + 1 or not _is_pure(mono, n + 1):
+    for mono, c in acc.items():
+        if not _is_pure(mono, n + 1):
             continue
         targets = _leaf_targets(mono)
         if len(targets) != n or set(targets) != needed:

@@ -43,6 +43,7 @@ LYNDON_EXACT_CAP = 6    # exact SNF on Lyndon coordinates
 DESK_SCALE_CAP = 8      # beyond this, explicitly out of scope
 
 CACHE_ENV = "JACOBITREES_CACHE_DIR"
+RELATION_KINDS = ("as", "ihx", "stu2")
 
 
 class UsageError(Exception):
@@ -68,6 +69,12 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        unknown = [k for k in self.kinds if k not in RELATION_KINDS]
+        if unknown:
+            raise UsageError(
+                f"unknown relation kind {unknown[0]!r} "
+                f"(expected {', '.join(RELATION_KINDS)})"
+            )
         if "stu2" in self.kinds and self.parity is None:
             raise UsageError("stu2 relations require --parity odd|even")
         if self.parity is not None and self.parity not in ("odd", "even"):
@@ -148,6 +155,12 @@ def compute_quotient(
         return snf_from_rows(rows, cols)
     if method == "modular":
         ranks = intlinalg.rank_modp_rows_dense(rows, cols)
+        if len(set(ranks.values())) > 1:
+            print(
+                "primes disagree: "
+                + ", ".join(f"rank mod {p} = {r}" for p, r in ranks.items()),
+                file=sys.stderr,
+            )
         # a rank mod p is a lower bound on the rank over Q, so the larger
         # of the two is the better bound
         rank = max(ranks.values())
@@ -262,6 +275,12 @@ def table_rows(config: RunConfig, max_n: int, min_n: int = 1):
 
 
 def cmd_table(config: RunConfig) -> int:
+    if config.max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {config.max_n}")
+    if config.max_n > DESK_SCALE_CAP:
+        raise ResourceAbort(
+            f"n = {config.max_n} is beyond desk scale (cap {DESK_SCALE_CAP})"
+        )
     rows = list(table_rows(config, config.max_n))
     if config.fmt == "json":
         print(json.dumps(rows, sort_keys=True))
@@ -485,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     kinds = ()
     if getattr(args, "relations", None):
-        kinds = tuple(k.strip() for k in args.relations.split(",") if k.strip())
+        kinds = tuple(
+            k.strip().lower() for k in args.relations.split(",") if k.strip()
+        )
     group = ()
     if getattr(args, "group", None):
         group = tuple(g.strip() for g in args.group.split(",") if g.strip())

@@ -6,7 +6,10 @@ first accumulating the rows into a fully reduced Hermite basis: rows with
 unit pivots then split off structurally (their pivot columns carry no other
 entries), and only the small non-unit residue goes through generic
 minimum-pivot elimination.  Ranks too large for exact elimination are taken
-modulo two primes by rank_modp_rows_dense.  Everything is deterministic.
+modulo two primes near 2^20 by rank_modp_rows_dense, a blocked engine that
+reduces a block of rows against the pivot rows with one float64 matmul;
+the products are exact integers while p^2 * cols < 2^53.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -320,9 +323,131 @@ def cokernel(relations: Iterable[TreeVector], basis: Sequence[Tree]) -> SnfResul
     )
 
 
-#: ~2^20 primes: c*R entries stay below 2^40, so a full elimination pass
-#: of < 2^12 pivot subtractions fits in int64 without intermediate mods.
+#: Primes near 2^20.  A block of rows is reduced against the float64 pivot
+#: rows with one matmul, whose sums of up to cols products below p^2 stay
+#: exact while p^2 * cols < 2^53: up to cols = 8191 for these primes.
 DENSE_PRIMES = (1048573, 1048583)
+
+#: Rows reduced per matmul by rank_modp_rows_dense (below 2^10, see
+#: _gauss_jordan).
+MODP_BLOCK_ROWS = 128
+
+
+def _front(buf, rows: int, cols: int):
+    """A contiguous rows x cols array on the front of a flat work buffer."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+class _ModpEchelon:
+    """Pivot rows mod p in reduced echelon form, stored compactly.
+
+    Pivot row i has a 1 in column piv[i], zeros in the other pivot columns
+    and F[i] in the free columns.  Only F, r x (cols - r), is stored, in a
+    flat float64 buffer of cols^2 / 4 entries that is updated in place.
+    """
+
+    def __init__(self, p: int, cols: int):
+        import numpy as np
+
+        self.p = p
+        self.piv: list[int] = []
+        self.free = np.arange(cols)
+        self.flat = np.empty(cols * cols // 4)
+
+    @property
+    def rank(self) -> int:
+        return len(self.piv)
+
+    def add_block(self, x, work) -> None:
+        """Extend the span by the rows of x (entries in [0, p), float64).
+
+        x is contiguous and is overwritten, and so are the two flat float64
+        buffers in work, each of x.size entries.
+        """
+        import numpy as np
+
+        p, r, f, m = self.p, len(self.piv), len(self.free), len(x)
+        if not f:
+            return  # full column rank
+        # X[:, piv] and X[:, free] side by side in work[0]
+        c = _front(work[0], m, r)
+        xf = _front(work[0][m * r :], m, f)
+        np.take(x, self.free, axis=1, out=xf, mode="clip")
+        if r:
+            # X -= X[:, piv] @ P on the free columns; the pivot columns
+            # become zero.  Exact below 2^53.
+            np.take(x, self.piv, axis=1, out=c, mode="clip")
+            t = np.matmul(c, self.flat[: r * f].reshape(r, f), out=_front(work[1], m, f))
+            np.subtract(xf, t, out=xf)
+        # reduced into [0, p) in int64, where % is cheaper
+        y = _front(work[1].view(np.int64), m, f)
+        np.copyto(y, xf, casting="unsafe")
+        y %= p
+        rows, qs = _gauss_jordan(y, p)
+        if not rows:
+            return
+        k = len(rows)
+        if r + k > x.shape[1]:
+            raise LinalgError("rank exceeded column count")
+        keep = np.delete(np.arange(f), qs)
+        f2 = f - k
+        # the new pivot rows on the remaining free columns, where x was
+        new = _front(x.reshape(-1), k, f2)
+        np.copyto(new, y[np.ix_(rows, keep)])
+        # fold them into the old rows, F[:, keep] - F[:, qs] @ new, in row
+        # chunks; the rows shrink from f to f2 entries, so chunk s is read
+        # before its new place [s * f2, ...) is written
+        chunk = len(work[0]) // f
+        for s in range(0, r, chunk):
+            h = min(chunk, r - s)
+            old = self.flat[s * f : (s + h) * f].reshape(h, f)
+            a = np.take(old, keep, axis=1, out=_front(work[0], h, f2), mode="clip")
+            b = np.take(old, qs, axis=1, out=_front(work[0][h * f2 :], h, k), mode="clip")
+            t = np.matmul(b, new, out=_front(work[1], h, f2))
+            np.subtract(a, t, out=a)
+            ai = _front(work[1].view(np.int64), h, f2)
+            np.copyto(ai, a, casting="unsafe")
+            ai %= p
+            self.flat[s * f2 : (s + h) * f2] = ai.reshape(-1)
+        self.flat[r * f2 : (r + k) * f2] = new.reshape(-1)
+        self.piv.extend(int(q) for q in self.free[qs])
+        self.free = self.free[keep]
+
+
+def _gauss_jordan(y, p: int) -> tuple[list[int], list[int]]:
+    """Reduced echelon form of the int64 block y mod p, in place.
+
+    Returns the indices of the pivot rows and their pivot columns.  Entries
+    start in [0, p) and are reduced lazily: an update changes an entry by
+    less than p^2 < 2^53, and a row takes at most len(y) < 2^10 updates
+    between two reductions, so entries stay below 2^63.
+    """
+    import numpy as np
+
+    rows: list[int] = []
+    qs: list[int] = []
+    for i in range(len(y)):
+        row = y[i]
+        row %= p
+        nz = np.flatnonzero(row)
+        if not nz.size:
+            continue
+        j = int(nz[0])
+        # y[i] is zero left of j, so updates touch columns j.. only
+        tail = row[j:]
+        tail *= pow(int(tail[0]), -1, p)
+        tail %= p
+        col = y[:, j] % p
+        col[i] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            sub = y[hit, j:]
+            sub -= col[hit, None] * tail
+            y[hit, j:] = sub
+        rows.append(i)
+        qs.append(j)
+    y %= p
+    return rows, qs
 
 
 def rank_modp_rows_dense(
@@ -330,48 +455,48 @@ def rank_modp_rows_dense(
 ) -> dict[int, int]:
     """Rank of the row span modulo each of the distinct primes.
 
-    Pivot rows are kept dense and normalised, incoming rows are reduced with
-    lazily deferred mods (hence primes near 2^20).  numpy is imported here,
-    not at module level, so that importing the CLI stays cheap.
+    Blocked elimination after Dumas, Giorgi and Pernet (FFLAS-FFPACK): the
+    rows are read MODP_BLOCK_ROWS at a time, and each block is reduced
+    against the pivot rows with one matmul (see _ModpEchelon).  numpy is
+    imported here, not at module level, so that importing the CLI stays
+    cheap.
     """
-    import bisect
-
     import numpy as np
 
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise LinalgError("primes must be distinct")
     for p in primes:
-        if p <= 2 or p * p * cols >= 2**62:
-            raise LinalgError(f"prime {p} unsafe for lazy int64 reduction")
-    # pivots iterated in column order; each basis row starts with its pivot,
-    # so a single forward pass fully reduces an incoming vector
-    states = {
-        p: {"mat": np.zeros((cols, cols), dtype=np.int64), "piv": [], "count": 0}
-        for p in primes
-    }
+        if p <= 2 or p * p * cols >= 2**53:
+            raise LinalgError(f"prime {p} unsafe for exact float64 reduction")
+    block = MODP_BLOCK_ROWS
+    echelons = [_ModpEchelon(p, cols) for p in primes]
+    xbuf = np.empty(block * cols)
+    work = [np.empty(block * cols) for _ in range(2)]
+
+    def flush(entries: list[tuple[int, int, int]], m: int) -> None:
+        ri, ci, vals = zip(*entries)
+        x = _front(xbuf, m, cols)
+        for ech in echelons:
+            x.fill(0.0)
+            x[ri, ci] = [v % ech.p for v in vals]
+            ech.add_block(x, work)
+
+    entries: list[tuple[int, int, int]] = []  # (row in block, column, value)
+    m = 0
     for row in rows:
-        for p, st in states.items():
-            vec = np.zeros(cols, dtype=np.int64)
-            for j, v in row.items():
-                vec[j] = v % p
-            mat = st["mat"]
-            for pc, idx in st["piv"]:
-                c = int(vec[pc]) % p
-                if c:
-                    vec -= c * mat[idx]
-            vec %= p
-            nz = np.flatnonzero(vec)
-            if nz.size == 0:
-                continue
-            j = int(nz[0])
-            count = st["count"]
-            if count >= cols:
-                raise LinalgError("rank exceeded column count")
-            mat[count] = (vec * pow(int(vec[j]), -1, p)) % p
-            bisect.insort(st["piv"], (j, count))
-            st["count"] = count + 1
-    return {p: st["count"] for p, st in states.items()}
+        for j, v in row.items():
+            if not 0 <= j < cols:
+                raise LinalgError(f"coordinate {j} out of range 0..{cols - 1}")
+            entries.append((m, j, v))
+        m += 1
+        if m == block:
+            if entries:
+                flush(entries, m)
+            entries, m = [], 0
+    if entries:
+        flush(entries, m)
+    return {ech.p: ech.rank for ech in echelons}
 
 
 def normal_form(

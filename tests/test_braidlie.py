@@ -128,3 +128,80 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
                 continue
             row = {index[k]: c for k, c in straighten_vector(v).items()}
             assert lat.contains(row)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for the mover doubling: expand all 2^n assignments of
+# leaves to the mover copies {n, n+1}, then normalise monomial by monomial
+
+
+def _substitute(m, mapping):
+    """All ways to substitute each generator leaf by the mapped options.
+
+    mapping sends ("g", a, b) to a list of ((mono, sign), ...) options;
+    returns the expansion with one option chosen per leaf occurrence.
+    """
+    if m[0] == "g":
+        return [(mono, sign) for mono, sign in mapping[m]]
+    out = []
+    for lm, ls in _substitute(m[1], mapping):
+        for rm, rs in _substitute(m[2], mapping):
+            out.append((("b", lm, rm), ls * rs))
+    return out
+
+
+def _leaf_movers(m):
+    if m[0] == "g":
+        return {m[1]}
+    return _leaf_movers(m[1]) | _leaf_movers(m[2])
+
+
+def brute_force_doubling_image(bracket, t, n, model, calc):
+    acc = {}
+
+    def add(mono, c):
+        acc[mono] = acc.get(mono, 0) + c
+
+    def rho(j):
+        return j if j < t else j + 1
+
+    for first, second in ((t, t + 1), (t + 1, t)):
+        for mono, sign in braidlie._expand_positional(
+            bracket, t, first, second, rho, n, model
+        ):
+            add(mono, sign * (-1) ** t)
+    options = {
+        ("g", n, x): [(("g", n, x), 1), (("g", n + 1, x), 1)] for x in range(1, n)
+    }
+    for mono, sign in _substitute(bracket, options):
+        if _leaf_movers(mono) != {n, n + 1}:
+            continue  # one copy unused: misses a point
+        add(mono, sign * (-1) ** n)
+    normalized = {}
+    for mono, c in acc.items():
+        for mm, cc in calc.normalize(mono).items():
+            normalized[mm] = normalized.get(mm, 0) + c * cc
+    return element_to_tree_vector(
+        {m: c for m, c in normalized.items() if c}, n, model
+    )
+
+
+def test_doubling_image_matches_brute_force(rng):
+    # the bilinear evaluation on the sums g(n, x) + g(n+1, x) equals the
+    # expansion over all leaf assignments, for the Lyndon source words and
+    # for random non-standard bracketings of the same letters
+    for model in MODELS:
+        calc = braidlie.BraidCalculus(model)
+        for n in range(3, 7):
+            cases = [
+                (braidlie._word_bracket(w, n), next(c for c in w if w.count(c) == 2))
+                for w in braidlie.source_words(n)
+            ]
+            for _ in range(10):
+                t = rng.randint(1, n - 1)
+                letters = sorted(list(range(1, n)) + [t])
+                cases.append((_random_bracket(rng, letters, n), t))
+            for bracket, t in cases:
+                got = braidlie.bracket_doubling_image(bracket, t, n, model)
+                want = brute_force_doubling_image(bracket, t, n, model, calc)
+                assert got.as_dict() == want.as_dict(), (model, n, bracket)

@@ -1,5 +1,6 @@
 import json
 
+from jacobitrees import cli, intlinalg
 from jacobitrees.cli import main
 
 
@@ -98,6 +99,66 @@ def test_rank_desk_scale_abort(capsys):
     code, _, err = run_cli(capsys, "rank", "--n", "9", "--relations", "as,ihx")
     assert code == 3
     assert "desk scale" in err
+
+
+def test_unknown_relation_kind_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "rank", "--n", "3", "--relations", "as,foo")
+    assert code == 2
+    assert "unknown relation kind 'foo'" in err
+    code, out, err = run_cli(
+        capsys, "reduce", "--expr", "1*[1,2]", "--relations", "foo"
+    )
+    assert code == 2 and not out
+    assert "unknown relation kind 'foo'" in err
+    # table always uses as, ihx and stu2 and takes no --relations
+    code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--relations", "foo")
+    assert code == 2 and not out
+
+
+def test_relation_kinds_are_case_insensitive(capsys):
+    code, out, _ = run_cli(
+        capsys, "rank", "--n", "3", "--relations", "AS,Ihx,STU2", "--parity", "odd",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "3,1,none,snf,exact over Z"
+    code, _, err = run_cli(capsys, "rank", "--n", "3", "--relations", "AS,IHX,STU2")
+    assert code == 2
+    assert "parity" in err
+
+
+def test_table_max_n_range(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "table", "--max-n", "0")
+    assert code == 2 and not out
+    assert "--max-n" in err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is computed beyond the cap")
+
+    monkeypatch.setattr(cli, "compute_quotient", refuse)
+    code, out, err = run_cli(capsys, "table", "--max-n", "9", "--format", "csv")
+    assert code == 3 and not out
+    assert "desk scale" in err
+
+
+def test_modular_disagreeing_primes_on_stderr(capsys, monkeypatch):
+    args = (
+        "rank", "--n", "5", "--relations", "as,ihx", "--method", "modular",
+        "--format", "csv",
+    )
+    monkeypatch.setattr(
+        intlinalg, "rank_modp_rows_dense", lambda rows, cols: {101: 1, 103: 1}
+    )
+    code, agree_out, agree_err = run_cli(capsys, *args)
+    assert code == 0 and agree_err == ""
+    monkeypatch.setattr(
+        intlinalg, "rank_modp_rows_dense", lambda rows, cols: {101: 0, 103: 1}
+    )
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    # the larger rank is reported, so stdout is the same as when they agree
+    assert out == agree_out
+    assert err == "primes disagree: rank mod 101 = 0, rank mod 103 = 1\n"
 
 
 def test_table_csv_values(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobitrees import intlinalg
 from jacobitrees.intlinalg import (
     DENSE_PRIMES,
     IntLattice,
@@ -187,6 +188,94 @@ def test_rank_modp_prime_validation():
         rank_modp_rows_dense(iter(()), 3, primes=(7, 7))
     with pytest.raises(LinalgError):
         rank_modp_rows_dense(iter(()), 3, primes=(2, 5))
+
+
+def test_rank_modp_float64_prime_bound():
+    # block products are float64 sums of up to cols terms below p^2, exact
+    # only while p^2 * cols < 2^53
+    p = DENSE_PRIMES[1]
+    assert p * p * 8191 < 2**53 <= p * p * 8192
+    assert rank_modp_rows_dense(iter(()), 8191, primes=(p,)) == {p: 0}
+    with pytest.raises(LinalgError, match="unsafe"):
+        rank_modp_rows_dense(iter(()), 8192, primes=(p,))
+    # 2^22 - 3 passes the int64 bound p^2 * cols < 2^62, not this one
+    with pytest.raises(LinalgError, match="unsafe"):
+        rank_modp_rows_dense(iter(()), 720, primes=(4194301,))
+
+
+def test_rank_modp_coordinate_out_of_range():
+    with pytest.raises(LinalgError, match="out of range"):
+        rank_modp_rows_dense(iter([{0: 1}, {3: 1}]), 3)
+    with pytest.raises(LinalgError, match="out of range"):
+        rank_modp_rows_dense(iter([{-1: 1}]), 3)
+
+
+def _engine_rows(data, cols, count):
+    """count rows over cols columns, with zero and duplicate rows mixed in."""
+    rows = []
+    for _ in range(count):
+        kind = data.draw(st.sampled_from(("random", "random", "zero", "duplicate")))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "duplicate" and rows:
+            rows.append(dict(data.draw(st.sampled_from(rows))))
+        else:
+            entries = data.draw(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols))
+            rows.append({j: v for j, v in enumerate(entries) if v})
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_modp_engine_matches_fraction_oracle(data):
+    # small blocks, so that the row counts around a block boundary, and
+    # the folding of new pivots into old ones, stay cheap to check
+    block = data.draw(st.sampled_from((1, 2, 3, 5)))
+    cols = data.draw(st.integers(1, 8))
+    count = data.draw(st.sampled_from((block - 1, block, block + 1, 2 * block + 1)))
+    rows = _engine_rows(data, cols, count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "MODP_BLOCK_ROWS", block)
+        ranks = rank_modp_rows_dense(iter(rows), cols)
+    # exact: every minor is at most 8! * 5^8 < p in size
+    assert ranks == {p: fraction_rank(rows, cols) for p in DENSE_PRIMES}
+
+
+def test_modp_engine_full_column_rank():
+    # the identity plus more rows than columns, across block boundaries
+    cols = 5
+    rows = [{j: 1} for j in range(cols)] + [{0: 2, 4: -3}, {}, {1: 1, 2: 1}]
+    for block in (1, 2, 4, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intlinalg, "MODP_BLOCK_ROWS", block)
+            assert rank_modp_rows_dense(iter(rows), cols) == {
+                p: cols for p in DENSE_PRIMES
+            }
+
+
+def test_modp_engine_default_block_boundaries():
+    # rank below cols at the real block size: up to 2 * block + 1 rows, each
+    # a random combination of two of 24 random rows
+    rng = random.Random(7)
+    block = intlinalg.MODP_BLOCK_ROWS
+    cols = 32
+    base = [
+        {j: rng.randint(-3, 3) for j in rng.sample(range(cols), 6)} for _ in range(24)
+    ]
+    rows = []
+    for _ in range(2 * block + 1):
+        row = {}
+        for b in rng.sample(base, 2):
+            c = rng.randint(-2, 2)
+            for j, v in b.items():
+                row[j] = row.get(j, 0) + c * v
+        rows.append({j: v for j, v in row.items() if v})
+    for count in (block - 1, block, block + 1, 2 * block + 1):
+        exact = fraction_rank(rows[:count], cols)
+        assert rank_modp_rows_dense(iter(rows[:count]), cols) == {
+            p: exact for p in DENSE_PRIMES
+        }
+    assert 0 < exact < cols
 
 
 def test_normal_form_lattice_member():
