@@ -8,13 +8,15 @@ configs produce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import math
 import os
+import pathlib
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
@@ -38,12 +40,13 @@ from .trees import (
     tree_list,
 )
 
-EXACT_SNF_CAP = 5       # full tree-space SNF
-LYNDON_EXACT_CAP = 6    # exact SNF on Lyndon coordinates
-DESK_SCALE_CAP = 8      # beyond this, explicitly out of scope
-
 CACHE_ENV = "JACOBITREES_CACHE_DIR"
 RELATION_KINDS = ("as", "ihx", "stu2")
+
+#: The largest degree each method may run at.  Exact SNF stops at 6 because
+#: at 7 coefficient swell keeps it from finishing; beyond 8 is out of desk
+#: scale for every method.
+METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": 8}
 
 
 class UsageError(Exception):
@@ -54,55 +57,20 @@ class ResourceAbort(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    max_n: int | None = None
-    kinds: tuple[str, ...] = ()
-    parity: str | None = None
-    method: str = "auto"
-    group: tuple[str, ...] = ()
-    cache_dir: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        unknown = [k for k in self.kinds if k not in RELATION_KINDS]
-        if unknown:
-            raise UsageError(
-                f"unknown relation kind {unknown[0]!r} "
-                f"(expected {', '.join(RELATION_KINDS)})"
-            )
-        if "stu2" in self.kinds and self.parity is None:
-            raise UsageError("stu2 relations require --parity odd|even")
-        if self.parity is not None and self.parity not in ("odd", "even"):
-            raise UsageError(f"bad parity {self.parity!r}")
-        if self.method not in ("auto", "snf", "lyndon", "modular"):
-            raise UsageError(f"bad method {self.method!r}")
-        if self.fmt not in ("text", "json", "csv"):
-            raise UsageError(f"bad format {self.fmt!r}")
-
-
-def resolve_cache_dir(config: RunConfig) -> str | None:
-    if config.cache_dir:
-        return config.cache_dir
-    return os.environ.get(CACHE_ENV)
-
-
 def pick_method(n: int, method: str) -> str:
-    if method != "auto":
-        if method == "snf" and n > LYNDON_EXACT_CAP:
-            raise UsageError(
-                f"method snf allowed only for n <= {LYNDON_EXACT_CAP}"
-            )
-        return method
-    if n <= EXACT_SNF_CAP:
-        return "snf"
-    if n <= LYNDON_EXACT_CAP:
-        return "lyndon"
-    return "modular"
+    """The method degree n runs with: auto resolved, the caps enforced."""
+    desk_cap = max(METHOD_CAPS.values())
+    if n < 1:
+        raise UsageError(f"degree {n} is below 1 (--n and --max-n start at 1)")
+    if n > desk_cap:
+        raise ResourceAbort(f"n = {n} is beyond desk scale (cap {desk_cap})")
+    if method == "auto":
+        # the full tree basis is cheap through 5; Lyndon coordinates keep
+        # degree 6 exact
+        method = "snf" if n <= 5 else "lyndon" if n <= METHOD_CAPS["lyndon"] else "modular"
+    if n > METHOD_CAPS[method]:
+        raise UsageError(f"method {method} allowed only for n <= {METHOD_CAPS[method]}")
+    return method
 
 
 def certification(method: str) -> str:
@@ -130,9 +98,7 @@ def compute_quotient(
     The Lyndon and modular routes present the quotient on the (n-1)! Lyndon
     coordinates and therefore require as and ihx among the kinds.
     """
-    if n > DESK_SCALE_CAP:
-        raise ResourceAbort(f"n = {n} is beyond desk scale (cap {DESK_SCALE_CAP})")
-    kinds = tuple(k.strip().lower() for k in kinds)
+    method = pick_method(n, method)
     if n == 1:
         # the degree-1 chord with trivial decoration dies definitionally
         if "stu2" in kinds:
@@ -153,38 +119,50 @@ def compute_quotient(
     rows = stu2_lyndon_rows(n, parity) if "stu2" in kinds else iter(())
     if method == "lyndon":
         return snf_from_rows(rows, cols)
-    if method == "modular":
-        ranks = intlinalg.rank_modp_rows_dense(rows, cols)
-        if len(set(ranks.values())) > 1:
-            print(
-                "primes disagree: "
-                + ", ".join(f"rank mod {p} = {r}" for p, r in ranks.items()),
-                file=sys.stderr,
-            )
-        # a rank mod p is a lower bound on the rank over Q, so the larger
-        # of the two is the better bound
-        rank = max(ranks.values())
-        return SnfResult(
-            invariant_factors=[1] * rank,
-            rank=rank,
-            cols=cols,
-            probabilistic=True,
+    ranks = intlinalg.rank_modp_rows_dense(rows, cols)
+    if len(set(ranks.values())) > 1:
+        print(
+            "primes disagree: "
+            + ", ".join(f"rank mod {p} = {r}" for p, r in ranks.items()),
+            file=sys.stderr,
         )
-    raise UsageError(f"unknown method {method!r}")
-
-
-def quotient_with_cache(config: RunConfig, n: int, kinds, parity, method) -> SnfResult:
-    cache_dir = resolve_cache_dir(config)
-    key = cache_key(
-        n=n, kinds=sorted(kinds), parity=parity, method=method, v=1
+    # a rank mod p is a lower bound on the rank over Q, so the larger
+    # of the two is the better bound
+    rank = max(ranks.values())
+    return SnfResult(
+        invariant_factors=[1] * rank,
+        rank=rank,
+        cols=cols,
+        probabilistic=True,
     )
-    if cache_dir:
-        hit = cache_load(cache_dir, key)
-        if hit is not None:
-            return hit
-    result = compute_quotient(n, tuple(kinds), parity, method)
-    if cache_dir:
-        cache_store(cache_dir, key, result)
+
+
+@functools.lru_cache(maxsize=1)
+def code_fingerprint() -> str:
+    """Hash of the package's sources: a cache entry is served only to the
+    code that computed it."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def quotient_with_cache(cache_dir: str | None, n: int, kinds, parity, method) -> SnfResult:
+    """compute_quotient through the result cache in cache_dir, or else in
+    $JACOBITREES_CACHE_DIR; with neither set, no cache."""
+    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
+    if not cache_dir:
+        return compute_quotient(n, kinds, parity, method)
+    key = cache_key(
+        n=n, kinds=sorted(kinds), parity=parity, method=method, code=code_fingerprint()
+    )
+    result = cache_load(cache_dir, key)
+    if result is None:
+        result = compute_quotient(n, kinds, parity, method)
+        try:
+            cache_store(cache_dir, key, result)
+        except OSError as exc:
+            print(f"cache not written: {exc}", file=sys.stderr)
     return result
 
 
@@ -192,17 +170,14 @@ def quotient_with_cache(config: RunConfig, n: int, kinds, parity, method) -> Snf
 # subcommands
 
 
-def cmd_enum(config: RunConfig) -> int:
-    n = config.n
-    try:
-        stream = enumerate_trees(n)
-    except TreeError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_enum(args: argparse.Namespace) -> int:
+    n = args.n
+    stream = enumerate_trees(n)  # its TreeError is a usage error
     count = tree_count(n)
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"n": n, "count": count, "trees": [t.serialize() for t in stream]}))
         return 0
-    if config.fmt == "csv":
+    if args.format == "csv":
         print("index,tree")
         for i, t in enumerate(stream):
             print(f"{i},{t.serialize()}")
@@ -213,13 +188,20 @@ def cmd_enum(config: RunConfig) -> int:
     return 0
 
 
-def _render_rank(config: RunConfig, n: int, method: str, res: SnfResult, dt: float) -> None:
-    torsion = "unknown" if res.probabilistic else ",".join(map(str, res.torsion)) or "none"
-    if config.fmt == "json":
+def torsion_text(res: SnfResult) -> str:
+    """Torsion factors joined by ';', so that a CSV field holds all of them."""
+    if res.probabilistic:
+        return "unknown"
+    return ";".join(map(str, res.torsion)) or "none"
+
+
+def _render_rank(fmt: str, n: int, method: str, res: SnfResult, dt: float) -> None:
+    torsion = torsion_text(res)
+    if fmt == "json":
         obj = res.to_json_obj()
         obj.update({"n": n, "method": method, "certification": certification(method)})
         print(json.dumps(obj, sort_keys=True))
-    elif config.fmt == "csv":
+    elif fmt == "csv":
         print("n,rank,torsion,method,certification")
         print(f"{n},{res.free_rank},{torsion},{method},{certification(method)}")
     else:
@@ -231,12 +213,11 @@ def _render_rank(config: RunConfig, n: int, method: str, res: SnfResult, dt: flo
         print(f"wall time = {dt:.3f}s")
 
 
-def cmd_rank(config: RunConfig) -> int:
-    n = config.n
-    method = pick_method(n, config.method)
+def cmd_rank(args: argparse.Namespace) -> int:
+    method = pick_method(args.n, args.method)
     t0 = time.time()
-    res = quotient_with_cache(config, n, config.kinds, config.parity, method)
-    _render_rank(config, n, method, res, time.time() - t0)
+    res = quotient_with_cache(args.cache_dir, args.n, args.relations, args.parity, method)
+    _render_rank(args.format, args.n, method, res, time.time() - t0)
     return 0
 
 
@@ -251,18 +232,12 @@ TABLE_COLUMNS = (
 )
 
 
-def table_rows(config: RunConfig, max_n: int, min_n: int = 1):
-    for n in range(min_n, max_n + 1):
-        method = pick_method(n, config.method)
-        lie_res = quotient_with_cache(config, n, ("as", "ihx"), None, method)
-        odd = quotient_with_cache(config, n, ("as", "ihx", "stu2"), "odd", method)
-        even = quotient_with_cache(config, n, ("as", "ihx", "stu2"), "even", method)
-
-        def torsion_text(r: SnfResult) -> str:
-            if r.probabilistic:
-                return "unknown"
-            return ";".join(map(str, r.torsion)) or "none"
-
+def table_rows(args: argparse.Namespace):
+    for n in range(1, args.max_n + 1):
+        method = pick_method(n, args.method)
+        lie_res = quotient_with_cache(args.cache_dir, n, ("as", "ihx"), None, method)
+        odd = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "odd", method)
+        even = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "even", method)
         yield {
             "n": n,
             "lie_rank": lie_res.free_rank,
@@ -274,18 +249,13 @@ def table_rows(config: RunConfig, max_n: int, min_n: int = 1):
         }
 
 
-def cmd_table(config: RunConfig) -> int:
-    if config.max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, got {config.max_n}")
-    if config.max_n > DESK_SCALE_CAP:
-        raise ResourceAbort(
-            f"n = {config.max_n} is beyond desk scale (cap {DESK_SCALE_CAP})"
-        )
-    rows = list(table_rows(config, config.max_n))
-    if config.fmt == "json":
+def cmd_table(args: argparse.Namespace) -> int:
+    pick_method(args.max_n, args.method)  # every degree's cap, before any work
+    rows = list(table_rows(args))
+    if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
         return 0
-    if config.fmt == "csv":
+    if args.format == "csv":
         print(",".join(TABLE_COLUMNS))
         for row in rows:
             print(",".join(str(row[c]) for c in TABLE_COLUMNS))
@@ -297,11 +267,11 @@ def cmd_table(config: RunConfig) -> int:
     return 0
 
 
-def cmd_reduce(config: RunConfig) -> int:
-    text = config.extra.get("expr")
-    if config.extra.get("input_file"):
+def cmd_reduce(args: argparse.Namespace) -> int:
+    text = args.expr
+    if args.input_file:
         try:
-            with open(config.extra["input_file"]) as fh:
+            with open(args.input_file) as fh:
                 text = fh.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read input file: {exc}") from exc
@@ -312,10 +282,9 @@ def cmd_reduce(config: RunConfig) -> int:
     except TreeError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     n = vec.degree
-    kinds = config.kinds or ("as", "ihx")
 
     if vec.decorated:
-        group = GroupSpec(config.group or ("a", "b"))
+        group = GroupSpec(args.group or ("a", "b"))
         dv = DecoratedVector(vector=vec, group=group)
         blocks = decorated_normal_form(dv)
         zero = all(not any(c) for c in blocks.values())
@@ -323,7 +292,7 @@ def cmd_reduce(config: RunConfig) -> int:
             label = ", ".join(str(w) or "1" for w in tup)
             print(f"tuple ({label}): coordinates {coords}")
         print("ZERO in Lie_G(%d)" % n if zero else "NONZERO in Lie_G(%d)" % n)
-        if "stu2" in kinds:
+        if "stu2" in args.relations:
             print(
                 "note: stu2 verdict needs undecorated input; membership in "
                 "AS+IHX is a necessary condition only for decorated classes"
@@ -345,10 +314,8 @@ def cmd_reduce(config: RunConfig) -> int:
         nf = TreeVector.from_dict(terms)
         print(f"normal form: {nf.serialize()}")
         print(f"NONZERO in Lie({n}), coordinates {tuple(c for c in coords)}")
-    if "stu2" in kinds:
-        parity = config.parity
-        if parity is None:
-            raise UsageError("stu2 verdict requires --parity")
+    if "stu2" in args.relations:
+        parity = args.parity
         if n == 1:
             print(f"ZERO in A^T,{parity}_1 (degree-1 classes die definitionally)")
             return 0
@@ -363,11 +330,10 @@ def cmd_reduce(config: RunConfig) -> int:
     return 0
 
 
-def cmd_magnus(config: RunConfig) -> int:
-    text = config.extra["tree"]
-    truncate = config.extra["truncate"]
+def cmd_magnus(args: argparse.Namespace) -> int:
+    truncate = args.truncate
     try:
-        t = parse_tree(text)
+        t = parse_tree(args.tree)
     except TreeError as exc:
         raise UsageError(f"cannot parse tree: {exc}") from exc
     if not hasattr(t, "is_leaf"):
@@ -379,7 +345,7 @@ def cmd_magnus(config: RunConfig) -> int:
     alphabet = [magnus.generator_name(i) for i in range(1, n + 1)]
     poly = magnus.magnus_expand(word, truncate, alphabet)
     ok = magnus.magnus_agreement(t)
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -399,12 +365,14 @@ def cmd_magnus(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Quick invariant suite; the full suite lives in tests/."""
     from .lie import expand, straighten_vector
     from .magnus import magnus_agreement
 
-    rng = random.Random(config.seed)
+    max_n = args.max_n
+    pick_method(max_n, "auto")  # the degree range every command accepts
+    rng = random.Random(args.seed)
     failures = 0
 
     def check(name: str, ok: bool):
@@ -413,7 +381,6 @@ def cmd_verify(config: RunConfig) -> int:
         if not ok:
             failures += 1
 
-    max_n = config.extra.get("max_n") or 4
     for n in range(1, max_n + 1):
         count = sum(1 for _ in enumerate_trees(n))
         check(f"tree count n={n} is {tree_count(n)}", count == tree_count(n))
@@ -453,82 +420,70 @@ def cmd_verify(config: RunConfig) -> int:
 # argument parsing
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _relation_kinds(text: str) -> tuple[str, ...]:
+    kinds = tuple(k.lower() for k in _names(text))
+    for k in kinds:
+        if k not in RELATION_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown relation kind {k!r} (expected {', '.join(RELATION_KINDS)})"
+            )
+    return kinds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobitrees",
         description="Exact integer computations for tree groups and their quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = ("auto", *METHOD_CAPS)
 
-    def common(p):
-        p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--seed", type=int, default=0)
+    def fmt(p, choices=("text", "json", "csv")):
+        p.add_argument("--format", default="text", choices=choices)
+
+    def relations_and_parity(p):
+        p.add_argument("--relations", type=_relation_kinds, default="as,ihx")
+        p.add_argument("--parity", default=None, choices=("odd", "even"))
 
     p = sub.add_parser("enum", help="list Tree(n), count first")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    fmt(p)
 
     p = sub.add_parser("rank", help="rank/torsion of Z[Tree(n)] modulo relations")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--relations", default="as,ihx")
-    p.add_argument("--parity", default=None, choices=("odd", "even"))
-    p.add_argument("--method", default="auto", choices=("auto", "snf", "lyndon", "modular"))
-    common(p)
+    relations_and_parity(p)
+    p.add_argument("--method", default="auto", choices=methods)
+    fmt(p)
+    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("table", help="rank table across degrees, both parities")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "snf", "lyndon", "modular"))
-    common(p)
+    p.add_argument("--method", default="auto", choices=methods)
+    fmt(p)
+    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("reduce", help="normal form and zero verdict for a vector")
     p.add_argument("input_file", nargs="?", default=None)
     p.add_argument("--expr", default=None)
-    p.add_argument("--relations", default="as,ihx")
-    p.add_argument("--parity", default=None, choices=("odd", "even"))
-    p.add_argument("--group", default=None, help="comma-separated generator names")
-    common(p)
+    relations_and_parity(p)
+    p.add_argument(
+        "--group", type=_names, default=(), help="comma-separated generator names"
+    )
 
     p = sub.add_parser("magnus", help="tree word, Magnus expansion, agreement check")
     p.add_argument("--tree", required=True)
     p.add_argument("--truncate", type=int, required=True)
-    common(p)
+    fmt(p, choices=("text", "json"))
 
     p = sub.add_parser("verify", help="run the quick invariant suite")
     p.add_argument("--max-n", type=int, default=4)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kinds = ()
-    if getattr(args, "relations", None):
-        kinds = tuple(
-            k.strip().lower() for k in args.relations.split(",") if k.strip()
-        )
-    group = ()
-    if getattr(args, "group", None):
-        group = tuple(g.strip() for g in args.group.split(",") if g.strip())
-    extra = {}
-    for key in ("expr", "input_file", "tree", "truncate"):
-        if hasattr(args, key):
-            extra[key] = getattr(args, key)
-    if args.command in ("verify",):
-        extra["max_n"] = args.max_n
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        max_n=getattr(args, "max_n", None),
-        kinds=kinds,
-        parity=getattr(args, "parity", None),
-        method=getattr(args, "method", "auto"),
-        group=group,
-        cache_dir=args.cache_dir,
-        fmt=args.format,
-        seed=args.seed,
-        extra=extra,
-    )
 
 
 COMMANDS = {
@@ -548,18 +503,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = config_from_args(args)
-        return COMMANDS[args.command](config)
-    except UsageError as exc:
+        if "stu2" in getattr(args, "relations", ()) and args.parity is None:
+            raise UsageError("stu2 relations require --parity odd|even")
+        return COMMANDS[args.command](args)
+    except (UsageError, TreeError, DecorationError, WordError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TreeError, DecorationError, WordError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceAbort as exc:
-        print(f"resource abort: {exc}", file=sys.stderr)
-        return 3
-    except intlinalg.LinalgError as exc:
+    except (ResourceAbort, intlinalg.LinalgError) as exc:
         print(f"resource abort: {exc}", file=sys.stderr)
         return 3
 

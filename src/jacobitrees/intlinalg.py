@@ -499,20 +499,6 @@ def rank_modp_rows_dense(
     return {ech.p: ech.rank for ech in echelons}
 
 
-def normal_form(
-    v: TreeVector, relations: Iterable[TreeVector], basis: Sequence[Tree]
-) -> TreeVector:
-    """Canonical representative of v modulo the relation lattice."""
-    index = {t: i for i, t in enumerate(basis)}
-    lat = IntLattice(len(basis))
-    lat.add_many(vector_to_row(r, index) for r in relations)
-    lat.normalize()
-    reduced = lat.reduce(vector_to_row(v, index))
-    if not reduced:
-        return TreeVector.zero(v.degree, v.decorated)
-    return TreeVector.from_dict({basis[j]: c for j, c in reduced.items()})
-
-
 # ---------------------------------------------------------------------------
 # result cache
 

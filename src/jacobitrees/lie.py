@@ -103,9 +103,6 @@ class NcPoly:
             self.n, self.bound, {w: c for w, c in self.terms.items() if len(w) == degree}
         )
 
-    def max_degree_present(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

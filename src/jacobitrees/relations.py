@@ -55,9 +55,6 @@ class RelationSet:
     def vectors(self) -> Iterator[TreeVector]:
         return self.producer()
 
-    def to_list(self) -> list[TreeVector]:
-        return list(self.vectors())
-
     def dump(self) -> Iterator[str]:
         for v in self.vectors():
             yield v.serialize()

@@ -233,12 +233,6 @@ def tree_list(n: int) -> tuple[Tree, ...]:
     return tuple(enumerate_trees(n))
 
 
-@lru_cache(maxsize=8)
-def tree_index(n: int) -> dict[Tree, int]:
-    """Position of each tree of degree n in the canonical order."""
-    return {t: i for i, t in enumerate(tree_list(n))}
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -14,6 +14,10 @@ from typing import Iterable
 
 _GEN_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
+#: A word is stored letter by letter, so a parsed exponent costs its size
+#: in memory; "a^99999999" must be refused, not expanded.
+MAX_EXPONENT = 10_000
+
 
 class WordError(ValueError):
     """Domain error for free-group words."""
@@ -104,6 +108,8 @@ def parse_word(text: str) -> Word:
                 exp = int(exp_s)
             except ValueError as exc:
                 raise WordError(f"bad exponent {exp_s!r} on {name!r}") from exc
+            if abs(exp) > MAX_EXPONENT:
+                raise WordError(f"exponent {exp} on {name!r} beyond {MAX_EXPONENT}")
         else:
             exp = 1
         sign = 1 if exp > 0 else -1

