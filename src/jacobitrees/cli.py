@@ -48,6 +48,11 @@ RELATION_KINDS = ("as", "ihx", "stu2")
 #: scale for every method.
 METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": 8}
 
+#: The largest --max-n verify runs at.  It expands every tree of each
+#: degree: 6 takes over a minute, 7 would expand 665 280 trees and 8 would
+#: enumerate 17 297 280.
+VERIFY_CAP = 6
+
 
 class UsageError(Exception):
     pass
@@ -372,6 +377,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     max_n = args.max_n
     pick_method(max_n, "auto")  # the degree range every command accepts
+    if max_n > VERIFY_CAP:
+        raise ResourceAbort(f"verify --max-n {max_n} is beyond its cap {VERIFY_CAP}")
     rng = random.Random(args.seed)
     failures = 0
 

@@ -261,9 +261,15 @@ def _generic_snf(rows: list[Row]) -> list[int]:
 
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
+    """Invariant factors of a nonnegative diagonal, each dividing the next.
+
+    Ones divide everything, so only the other entries go through the
+    quadratic pairwise loop; a quotient can have thousands of unit pivots.
+    """
     import math
 
-    ds = [d for d in diagonal if d]
+    ones = diagonal.count(1)
+    ds = [d for d in diagonal if d > 1]
     changed = True
     while changed:
         changed = False
@@ -273,7 +279,7 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
                     g = math.gcd(ds[i], ds[j])
                     ds[i], ds[j] = g, ds[i] * ds[j] // g
                     changed = True
-    return sorted(ds)
+    return [1] * ones + sorted(ds)
 
 
 def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
@@ -309,9 +315,10 @@ def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
 def vector_to_row(v: TreeVector, index: dict) -> Row:
     row: Row = {}
     for t, c in v.terms:
-        if t not in index:
+        j = index.get(t)
+        if j is None:
             raise LinalgError(f"vector term {t} not in the given basis")
-        row[index[t]] = row.get(index[t], 0) + c
+        row[j] = row.get(j, 0) + c
     return {j: c for j, c in row.items() if c}
 
 

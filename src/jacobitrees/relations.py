@@ -68,7 +68,9 @@ def as_relations(n: int) -> RelationSet:
     def produce() -> Iterator[TreeVector]:
         for t in enumerate_trees(n):
             for addr in t.internal_addresses():
-                yield TreeVector.single(t) + TreeVector.single(swap_at(t, addr))
+                # t and its swap differ: the two swapped subtrees have
+                # disjoint nonempty leaf sets
+                yield TreeVector.from_dict({t: 1, swap_at(t, addr): 1})
 
     return RelationSet(degree=n, kind=RelationKind.AS, producer=produce)
 
@@ -102,11 +104,8 @@ def _ihx_vector(t: Tree, parent_addr: str, child_side: str) -> TreeVector:
 
     t1 = replace(t, parent_addr, repl1)
     t2 = replace(t, parent_addr, repl2)
-    return (
-        TreeVector.single(t)
-        + TreeVector.single(t1, -1)
-        + TreeVector.single(t2, -1)
-    )
+    # three distinct trees: A, B and D have disjoint nonempty leaf sets
+    return TreeVector.from_dict({t: 1, t1: -1, t2: -1})
 
 
 def ihx_relations(n: int) -> RelationSet:

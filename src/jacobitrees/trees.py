@@ -15,6 +15,10 @@ undecorated trees never serialise to the same string.
 
 Internal vertices are addressed by strings over {"L", "R"} read from the
 root ("" is the root).
+
+A Tree stores its canonical text form, built once from its children's, and
+that string is its identity: hashing, equality and the order of vector terms
+all read it.
 """
 
 from __future__ import annotations
@@ -38,23 +42,59 @@ class TreeError(ValueError):
     """Domain error for tree construction and parsing."""
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
 class Tree:
-    """A leaf (label set, children None) or an internal node (label None)."""
+    """A leaf (label set, children None) or an internal node (label None).
 
-    label: int | None
-    left: "Tree | None" = None
-    right: "Tree | None" = None
+    Immutable.  A node stores its degree and canonical serialisation, both
+    built at construction from its children's, so that degree, serialize(),
+    hashing and equality cost O(1).
+    """
 
-    def __post_init__(self):
-        if self.label is None:
-            if self.left is None or self.right is None:
+    __slots__ = ("label", "left", "right", "degree", "_key")
+
+    def __init__(
+        self, label: int | None, left: "Tree | None" = None, right: "Tree | None" = None
+    ):
+        if label is None:
+            if left is None or right is None:
                 raise TreeError("internal node needs two children")
+            key = "[" + left._key + "," + right._key + "]"
+            degree = left.degree + right.degree
         else:
-            if self.left is not None or self.right is not None:
+            if left is not None or right is not None:
                 raise TreeError("leaf cannot have children")
-            if self.label < 1:
+            if label < 1:
                 raise TreeError("leaf labels must be positive")
+            key = str(label)
+            degree = 1
+        _set(self, "label", label)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "degree", degree)
+        _set(self, "_key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Tree is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if isinstance(other, Tree):
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"<Tree {self._key}>"
+
+    def __reduce__(self):
+        return Tree, (self.label, self.left, self.right)
 
     @property
     def is_leaf(self) -> bool:
@@ -65,19 +105,11 @@ class Tree:
             return frozenset((self.label,))
         return self.left.labels() | self.right.labels()
 
-    @property
-    def degree(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.degree + self.right.degree
-
     def serialize(self) -> str:
-        if self.is_leaf:
-            return str(self.label)
-        return f"[{self.left.serialize()},{self.right.serialize()}]"
+        return self._key
 
     def __str__(self) -> str:
-        return self.serialize()
+        return self._key
 
     def internal_addresses(self) -> Iterator[str]:
         """Addresses of internal vertices, root first, in L-to-R order."""
@@ -102,8 +134,15 @@ class Tree:
         return {"node": [self.left.to_json_obj(), self.right.to_json_obj()]}
 
 
+#: The one leaf object of each label; leaf labels in use are few.
+_LEAVES: dict[int, Tree] = {}
+
+
 def leaf(k: int) -> Tree:
-    return Tree(label=k)
+    t = _LEAVES.get(k)
+    if t is None:
+        t = _LEAVES[k] = Tree(k)
+    return t
 
 
 def graft(t1: Tree, t2: Tree) -> Tree:
@@ -202,15 +241,14 @@ def _stream_over(labels: tuple[int, ...]) -> Iterator[Tree]:
         return
     label_set = set(labels)
 
-    def left_streams() -> Iterator[Iterator[tuple[str, Tree]]]:
+    def left_streams() -> Iterator[Iterator[Tree]]:
         # proper nonempty subsets as left-label sets, one sorted stream each
         items = sorted(label_set)
         m = len(items)
         for mask in range(1, (1 << m) - 1):
-            part = tuple(items[i] for i in range(m) if mask >> i & 1)
-            yield ((t.serialize(), t) for t in _stream_over(part))
+            yield _stream_over(tuple(items[i] for i in range(m) if mask >> i & 1))
 
-    for _, lt in heapq.merge(*left_streams(), key=lambda st: st[0]):
+    for lt in heapq.merge(*left_streams(), key=Tree.serialize):
         rest = tuple(sorted(label_set - lt.labels()))
         for rt in _stream_over(rest):
             yield Tree(label=None, left=lt, right=rt)
@@ -269,7 +307,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a leaf label", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError("leaf label has too many digits", start) from exc
 
     def parse_tree(self) -> tuple[Tree, dict[int, Word]]:
         ch = self.peek()
@@ -353,17 +394,17 @@ class TreeVector:
 
     @staticmethod
     def from_dict(d: Mapping[AnyTree, int]) -> "TreeVector":
-        clean = {t: c for t, c in d.items() if c != 0}
-        if not clean:
+        items = [(t, c) for t, c in d.items() if c != 0]
+        if not items:
             raise TreeError("empty tree vector needs an explicit degree; use zero()")
-        degrees = {t.degree for t in clean}
+        degrees = {t.degree for t, _ in items}
         if len(degrees) != 1:
             raise TreeError(f"mixed degrees in tree vector: {sorted(degrees)}")
-        modes = {isinstance(t, DecoratedTree) for t in clean}
+        modes = {isinstance(t, DecoratedTree) for t, _ in items}
         if len(modes) != 1:
             raise TreeError("mixed decorated/undecorated terms")
-        items = tuple(sorted(clean.items(), key=lambda kv: kv[0].serialize()))
-        return TreeVector(terms=items, degree=degrees.pop(), decorated=modes.pop())
+        items.sort(key=lambda kv: kv[0].serialize())
+        return TreeVector(terms=tuple(items), degree=degrees.pop(), decorated=modes.pop())
 
     @staticmethod
     def zero(degree: int, decorated: bool = False) -> "TreeVector":

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -389,6 +392,36 @@ def test_verify_max_n_beyond_desk_scale_aborts(capsys):
     code, out, err = run_cli(capsys, "verify", "--max-n", "9")
     assert code == 3 and not out
     assert "desk scale" in err
+
+
+def test_verify_max_n_beyond_its_cap_aborts_before_any_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("verify enumerated trees beyond its cap")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    for max_n in range(cli.VERIFY_CAP + 1, max(cli.METHOD_CAPS.values()) + 1):
+        code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n))
+        assert code == 3 and not out
+        assert f"cap {cli.VERIFY_CAP}" in err
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # tree hashes are str hashes, which PYTHONHASHSEED salts
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    stu2 = ("reduce", "--expr", "1*[[[[1,2],3],4],5] 2*[[1,[2,5]],[3,4]]",
+            "--relations", "as,ihx,stu2", "--parity", "odd")
+    for argv in (("table", "--max-n", "5", "--format", "csv"), stu2):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "jacobitrees", *argv],
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1], argv
+        assert outs[0]
 
 
 def test_flags_a_command_does_not_read_are_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,29 @@ def test_divisibility_chain_property():
     for d in res.invariant_factors:
         prod *= d
     assert prod == 4 * 6 * 10
+    # with many unit factors, against the pairwise chain over every entry
+    rng = random.Random(5)
+    for _ in range(40):
+        diagonal = [1] * rng.randint(0, 60) + [
+            rng.choice([0, 2, 3, 4, 6, 9, 10, 12, 15]) for _ in range(rng.randint(0, 6))
+        ]
+        rng.shuffle(diagonal)
+        assert intlinalg._divisibility_chain(diagonal) == _pairwise_chain(diagonal)
+
+
+def _pairwise_chain(diagonal):
+    """The divisibility chain by gcd/lcm swaps over all pairs, ones included."""
+    ds = [d for d in diagonal if d]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i] != 0:
+                    g = math.gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+                    changed = True
+    return sorted(ds)
 
 
 def _row_dicts(entries, rows):

@@ -1,5 +1,8 @@
 import json
 import math
+import pickle
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,3 +196,87 @@ def test_parse_tree_vector():
     assert v2.as_dict() == {parse_tree("[1,2]"): -1}
     v3 = parse_tree_vector("[1,2] -1*[1,2]")
     assert v3.is_zero
+
+
+# ---------------------------------------------------------------------------
+# invariants of the stored key: Tree(4) and random trees up to degree 7
+
+
+def _oracle_serialize(t):
+    if t.label is not None:
+        return str(t.label)
+    return "[" + _oracle_serialize(t.left) + "," + _oracle_serialize(t.right) + "]"
+
+
+def _oracle_degree(t):
+    if t.label is not None:
+        return 1
+    return _oracle_degree(t.left) + _oracle_degree(t.right)
+
+
+def _oracle_labels(t):
+    if t.label is not None:
+        return {t.label}
+    return _oracle_labels(t.left) | _oracle_labels(t.right)
+
+
+def _invariant_sample():
+    rng = random.Random(7)
+    sample = list(tree_list(4))
+    for _ in range(300):
+        sample.append(random_tree(rng, list(range(1, rng.randint(1, 7) + 1))))
+    return sample
+
+
+def test_equality_is_equality_of_serialisations():
+    sample = _invariant_sample()
+    for a in sample:
+        copy = parse_tree(_oracle_serialize(a))
+        assert copy == a and hash(copy) == hash(a)
+        for b in sample:
+            assert (a == b) == (a.serialize() == b.serialize()), (a, b)
+            assert (a != b) == (a.serialize() != b.serialize()), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_stored_key_degree_and_labels_match_recursion():
+    for t in _invariant_sample():
+        assert t.serialize() == str(t) == _oracle_serialize(t)
+        assert t.degree == _oracle_degree(t)
+        assert t.labels() == _oracle_labels(t)
+
+
+def test_tree_is_immutable():
+    t = parse_tree("[[1,2],3]")
+    for name in ("label", "left", "right", "degree", "_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, leaf(1))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert t.serialize() == "[[1,2],3]" and t.degree == 3
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_tree_never_equals_decorated_tree():
+    for t in tree_list(4):
+        d = decorate(t, {k: Word.identity() for k in t.labels()})
+        assert t != d and d != t
+        assert not (t == d) and not (d == t)
+    assert leaf(1) != "1" and leaf(1) != 1
+
+
+def test_leaf_is_shared():
+    for k in (1, 2, 7, 12):
+        assert leaf(k) is leaf(k)
+    t = parse_tree("[[1,2],3]")
+    assert t.left.left is leaf(1) and t.right is leaf(3)
+
+
+def test_long_leaf_labels_rejected_fast():
+    # the second is beyond the digits int() converts
+    for label in ("9" * 12, "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(TreeError):
+            parse_tree(f"[1,{label}]")
+        assert time.perf_counter() - start < 0.25
