@@ -186,7 +186,7 @@ class BraidCalculus:
         g2, orient = gen(s, t, self.model)
         return _scale(self.bracket_pure(a, g2), -sigma * orient)
 
-    # -- full normalisation --------------------------------------------------
+    # -- brackets of sums -----------------------------------------------------
 
     def bracket(self, left: Element, right: Element) -> Element:
         """Bilinear bracket of two normalised elements, normalised."""
@@ -196,11 +196,6 @@ class BraidCalculus:
                 for mm, cc in self.bracket_pure(ma, mb):
                     _add(out, mm, ca * cb * cc)
         return out
-
-    def normalize(self, m: Mono) -> Element:
-        if m[0] == "g":
-            return {m: 1}
-        return self.bracket(self.normalize(m[1]), self.normalize(m[2]))
 
 
 # ---------------------------------------------------------------------------

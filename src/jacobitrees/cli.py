@@ -62,17 +62,30 @@ class ResourceAbort(Exception):
     pass
 
 
-def pick_method(n: int, method: str) -> str:
-    """The method degree n runs with: auto resolved, the caps enforced."""
+def lie_quotient(kinds: tuple[str, ...]) -> bool:
+    """Whether kinds include as,ihx: the quotient is then one of Lie(n), and
+    the (n-1)! Lyndon coordinates present it."""
+    return {"as", "ihx"} <= set(kinds)
+
+
+def pick_method(n: int, method: str, kinds: tuple[str, ...]) -> str:
+    """The method degree n runs with under relations kinds: auto resolved,
+    the caps enforced."""
     desk_cap = max(METHOD_CAPS.values())
     if n < 1:
         raise UsageError(f"degree {n} is below 1 (--n and --max-n start at 1)")
     if n > desk_cap:
         raise ResourceAbort(f"n = {n} is beyond desk scale (cap {desk_cap})")
     if method == "auto":
-        # the full tree basis is cheap through 5; Lyndon coordinates keep
-        # degree 6 exact
-        method = "snf" if n <= 5 else "lyndon" if n <= METHOD_CAPS["lyndon"] else "modular"
+        # Lyndon coordinates present every quotient of Lie(n); the full tree
+        # basis is cheap only through 5
+        lie = lie_quotient(kinds)
+        method = "modular" if n > METHOD_CAPS["lyndon"] else "lyndon" if lie else "snf"
+        if method == "snf" and n > 5:
+            raise UsageError(
+                f"auto at n = {n} takes Lyndon coordinates, which need relations "
+                "to include as,ihx; --method snf runs the tree basis"
+            )
     if n > METHOD_CAPS[method]:
         raise UsageError(f"method {method} allowed only for n <= {METHOD_CAPS[method]}")
     return method
@@ -82,28 +95,38 @@ def certification(method: str) -> str:
     return "probabilistic over Q" if method == "modular" else "exact over Z"
 
 
-def stu2_lyndon_rows(n: int, parity: str):
-    """Quadratic relations as sparse Lyndon-coordinate rows.
+def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
+    """The relations kinds as sparse rows on the (n-1)! Lyndon coordinates.
 
-    Coordinates come from the AS/IHX straightening route, whose agreement
-    with the expansion route is a tested invariant.
+    Z[Tree(n)] / (AS, IHX) is free on the Lyndon brackets, so AS and IHX
+    give no rows.  Each stu2 vector is straightened, a route whose agreement
+    with the expansion route is a tested invariant.  Kinds without as,ihx
+    are refused on the call, not on the first row.
     """
-    index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
-    for v in relations.stu2_relations(n, parity).vectors():
-        row = {index[k]: c for k, c in straighten_vector(v).items()}
-        if row:
-            yield row
+    if not lie_quotient(kinds):
+        raise UsageError(
+            "Lyndon coordinates present the quotient only when relations "
+            "include as,ihx"
+        )
+    if "stu2" not in kinds:
+        return iter(())
+
+    def rows():
+        index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
+        for v in relations.stu2_relations(n, parity).vectors():
+            row = {index[k]: c for k, c in straighten_vector(v).items()}
+            if row:
+                yield row
+
+    return rows()
 
 
 def compute_quotient(
     n: int, kinds: tuple[str, ...], parity: str | None, method: str
 ) -> SnfResult:
-    """Structure of Z[Tree(n)] / <kinds> by the requested route.
-
-    The Lyndon and modular routes present the quotient on the (n-1)! Lyndon
-    coordinates and therefore require as and ihx among the kinds.
-    """
-    method = pick_method(n, method)
+    """Structure of Z[Tree(n)] / <kinds> by the requested route: snf on the
+    full tree basis, lyndon and modular on the rows of lyndon_rows."""
+    method = pick_method(n, method, kinds)
     if n == 1:
         # the degree-1 chord with trivial decoration dies definitionally
         if "stu2" in kinds:
@@ -115,13 +138,8 @@ def compute_quotient(
         sets = relations.build_relation_sets(n, kinds, parity)
         return intlinalg.cokernel(relations.relation_union(sets), basis)
 
-    if {"as", "ihx"} - set(kinds):
-        raise UsageError(
-            f"method {method} presents the quotient on Lyndon coordinates "
-            "and needs relations to include as,ihx"
-        )
     cols = math.factorial(n - 1)
-    rows = stu2_lyndon_rows(n, parity) if "stu2" in kinds else iter(())
+    rows = lyndon_rows(n, kinds, parity)
     if method == "lyndon":
         return snf_from_rows(rows, cols)
     ranks = intlinalg.rank_modp_rows_dense(rows, cols)
@@ -219,7 +237,11 @@ def _render_rank(fmt: str, n: int, method: str, res: SnfResult, dt: float) -> No
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    method = pick_method(args.n, args.method)
+    # through n = 5 rank keeps auto on the full tree basis: it prints that
+    # presentation's cols, rank and invariant factors, and perfbench traces
+    # the tree-basis layers through it
+    method = "snf" if args.method == "auto" and args.n <= 5 else args.method
+    method = pick_method(args.n, method, args.relations)
     t0 = time.time()
     res = quotient_with_cache(args.cache_dir, args.n, args.relations, args.parity, method)
     _render_rank(args.format, args.n, method, res, time.time() - t0)
@@ -239,7 +261,7 @@ TABLE_COLUMNS = (
 
 def table_rows(args: argparse.Namespace):
     for n in range(1, args.max_n + 1):
-        method = pick_method(n, args.method)
+        method = pick_method(n, args.method, ("as", "ihx"))
         lie_res = quotient_with_cache(args.cache_dir, n, ("as", "ihx"), None, method)
         odd = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "odd", method)
         even = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "even", method)
@@ -255,7 +277,7 @@ def table_rows(args: argparse.Namespace):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    pick_method(args.max_n, args.method)  # every degree's cap, before any work
+    pick_method(args.max_n, args.method, ("as", "ihx"))  # every degree's cap, before any work
     rows = list(table_rows(args))
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
@@ -287,6 +309,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except TreeError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     n = vec.degree
+    if not lie_quotient(args.relations):
+        raise UsageError("reduce works in Lie(n): relations must include as,ihx")
+    # the degree cap of the route that runs, before any work: the stu2
+    # verdict on undecorated input is an exact lattice on Lyndon coordinates
+    stu2_verdict = "stu2" in args.relations and not vec.decorated
+    pick_method(n, "lyndon" if stu2_verdict else "auto", args.relations)
 
     if vec.decorated:
         group = GroupSpec(args.group or ("a", "b"))
@@ -319,13 +347,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         nf = TreeVector.from_dict(terms)
         print(f"normal form: {nf.serialize()}")
         print(f"NONZERO in Lie({n}), coordinates {tuple(c for c in coords)}")
-    if "stu2" in args.relations:
+    if stu2_verdict:
         parity = args.parity
         if n == 1:
             print(f"ZERO in A^T,{parity}_1 (degree-1 classes die definitionally)")
             return 0
         lat = IntLattice(math.factorial(n - 1))
-        lat.add_many(stu2_lyndon_rows(n, parity))
+        lat.add_many(lyndon_rows(n, args.relations, parity))
         lat.normalize()
         reduced = lat.reduce({j: c for j, c in enumerate(coords) if c})
         if reduced:
@@ -376,7 +404,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .magnus import magnus_agreement
 
     max_n = args.max_n
-    pick_method(max_n, "auto")  # the degree range every command accepts
+    pick_method(max_n, "auto", ("as", "ihx"))  # the degree range every command accepts
     if max_n > VERIFY_CAP:
         raise ResourceAbort(f"verify --max-n {max_n} is beyond its cap {VERIFY_CAP}")
     rng = random.Random(args.seed)

@@ -3,20 +3,15 @@
 The decorated group is the tensor product of the undecorated quotient with
 the group ring on decoration tuples, so normal forms split per tuple:
 group the terms by (reduced) decoration tuple and take Lyndon coordinates
-of each undecorated piece.  decorated_rank computes the quotient honestly
-as a cokernel over (tree, tuple) columns, which is what the tensor law
-tests exercise.
+of each undecorated piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .intlinalg import SnfResult, snf_from_rows
 from .lie import to_lyndon_coordinates
-from .relations import as_relations, decorate_relations, ihx_relations
-from .trees import DecoratedTree, Tree, TreeVector, tree_list
+from .trees import DecoratedTree, Tree, TreeVector
 from .words import Word, parse_word
 
 
@@ -87,45 +82,3 @@ def decorated_normal_form(
         key: to_lyndon_coordinates(TreeVector.from_dict(terms), n)
         for key, terms in blocks.items()
     }
-
-
-def is_zero_decorated(v: DecoratedVector) -> bool:
-    return all(not any(c) for c in decorated_normal_form(v).values())
-
-
-def decorated_rank(
-    n: int, tuples: Sequence[Sequence[Word]], group: GroupSpec | None = None
-) -> SnfResult:
-    """Cokernel of decorated AS+IHX on trees decorated from the given tuples.
-
-    Rank must come out (n-1)! per distinct reduced tuple, torsion-free.
-    """
-    norm_tuples: list[tuple[Word, ...]] = []
-    seen = set()
-    for tup in tuples:
-        tup = tuple(tup)
-        if len(tup) != n:
-            raise DecorationError(f"tuple arity {len(tup)} != degree {n}")
-        if tup in seen:
-            continue  # compared after reduction: Word is reduced already
-        seen.add(tup)
-        norm_tuples.append(tup)
-    basis_trees = tree_list(n)
-    index: dict[tuple[int, tuple[Word, ...]], int] = {}
-    for ti, tup in enumerate(norm_tuples):
-        for bi in range(len(basis_trees)):
-            index[(bi, tup)] = ti * len(basis_trees) + bi
-    tree_pos = {t: i for i, t in enumerate(basis_trees)}
-
-    def rows():
-        for rs in (as_relations(n), ihx_relations(n)):
-            decorated = decorate_relations(rs, norm_tuples)
-            for vec in decorated.vectors():
-                row: dict[int, int] = {}
-                for t, c in vec.terms:
-                    key = (tree_pos[t.tree], _tuple_of(t))
-                    j = index[key]
-                    row[j] = row.get(j, 0) + c
-                yield {j: c for j, c in row.items() if c}
-
-    return snf_from_rows(rows(), cols=len(basis_trees) * len(norm_tuples))

@@ -33,8 +33,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import braidlie
-from .trees import Tree, TreeVector, decorate, enumerate_trees, swap_at
-from .words import Word
+from .trees import Tree, TreeVector, enumerate_trees, swap_at
 
 
 class RelationKind(str, Enum):
@@ -151,29 +150,6 @@ def stu2_relations(n: int, parity: str) -> RelationSet:
                 yield v
 
     return RelationSet(degree=n, kind=kind, producer=produce)
-
-
-def decorate_relations(
-    rs: RelationSet, decorations: Sequence[Sequence[Word]]
-) -> RelationSet:
-    """Each vector once per decoration tuple, words attached by leaf label."""
-    n = rs.degree
-    tuples: list[tuple[Word, ...]] = []
-    for tup in decorations:
-        tup = tuple(tup)
-        if len(tup) != n:
-            raise ValueError(f"decoration tuple needs {n} words, got {len(tup)}")
-        tuples.append(tup)
-
-    def produce() -> Iterator[TreeVector]:
-        for v in rs.vectors():
-            for tup in tuples:
-                mapping = {i + 1: w for i, w in enumerate(tup)}
-                yield TreeVector.from_dict(
-                    {decorate(t, mapping): c for t, c in v.terms}
-                )
-
-    return RelationSet(degree=n, kind=rs.kind, producer=produce)
 
 
 def relation_union(sets: Iterable[RelationSet]) -> Iterator[TreeVector]:

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .words import Word, parse_word
 
@@ -368,10 +368,6 @@ def parse_tree(text: str) -> AnyTree:
     return decorate(tree, full)
 
 
-def serialize(t: AnyTree) -> str:
-    return t.serialize()
-
-
 def to_json(t: AnyTree) -> str:
     return json.dumps(t.to_json_obj(), separators=(",", ":"))
 
@@ -488,25 +484,3 @@ def parse_tree_vector(text: str) -> TreeVector:
         degree = parse_tree(tokens[0].rpartition("*")[2].lstrip("+-")).degree
         return TreeVector.zero(degree)
     return TreeVector.from_dict(acc)
-
-
-def brute_force_trees(labels: Iterable[int]) -> list[Tree]:
-    """Independent tree generation by right-to-left recursion; for oracles.
-
-    Splits on the right subtree first and recurses in a different order than
-    the canonical enumerator, so agreement of the two outputs as sets is a
-    meaningful check.
-    """
-    labels = tuple(labels)
-    if len(labels) == 1:
-        return [leaf(labels[0])]
-    out = []
-    items = sorted(labels, reverse=True)
-    m = len(items)
-    for mask in range(1, (1 << m) - 1):
-        right_part = tuple(items[i] for i in range(m) if mask >> i & 1)
-        left_part = tuple(x for x in items if x not in right_part)
-        for rt in brute_force_trees(right_part):
-            for lt in brute_force_trees(left_part):
-                out.append(Tree(label=None, left=lt, right=rt))
-    return out

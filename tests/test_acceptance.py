@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from jacobitrees.cli import compute_quotient, stu2_lyndon_rows
-from jacobitrees.decorations import decorated_rank
+from jacobitrees.cli import compute_quotient, lyndon_rows
 from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense
 from jacobitrees.lie import (
     GradedConfig,
@@ -29,12 +28,13 @@ from jacobitrees.relations import (
     stu2_relations,
 )
 from jacobitrees.trees import (
-    brute_force_trees,
     enumerate_trees,
     tree_count,
     tree_list,
 )
 from jacobitrees.words import Word
+
+from conftest import brute_force_trees, decorated_rank
 
 ODD_RANKS = [0, 1, 1, 2, 3, 5]     # n = 1..6
 EVEN_RANKS = [0, 1, 1, 0, 2, 1]    # n = 1..6
@@ -130,7 +130,8 @@ def test_criterion_3_jacobi_tables_odd():
         torsion_free = torsion_free and not res.torsion
     ok = ranks == ODD_RANKS and torsion_free
     # n = 7: probabilistic rank over Q via two primes near 2^20
-    mod_ranks = rank_modp_rows_dense(stu2_lyndon_rows(7, "odd"), math.factorial(6))
+    rows7 = lyndon_rows(7, ("as", "ihx", "stu2"), "odd")
+    mod_ranks = rank_modp_rows_dense(rows7, math.factorial(6))
     quotient7 = {p: math.factorial(6) - r for p, r in mod_ranks.items()}
     ok = ok and set(quotient7.values()) == {ODD_RANK_N7}
     report(
@@ -146,7 +147,7 @@ def test_criterion_3_jacobi_tables_odd():
 )
 def test_criterion_3_optional_degree8():
     cols = math.factorial(7)
-    ranks = rank_modp_rows_dense(stu2_lyndon_rows(8, "odd"), cols)
+    ranks = rank_modp_rows_dense(lyndon_rows(8, ("as", "ihx", "stu2"), "odd"), cols)
     quotient = {p: cols - r for p, r in ranks.items()}
     ok = set(quotient.values()) == {12}
     report(3, f"optional: A^T,odd_8 -> {quotient} (probabilistic)", ok)

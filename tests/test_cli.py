@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jacobitrees import cli, intlinalg
@@ -103,6 +104,31 @@ def test_rank_method_cap(capsys):
         capsys, "rank", "--n", "7", "--relations", "as,ihx", "--method", "snf"
     )
     assert code == 2
+
+
+def test_auto_resolution_table():
+    # auto takes Lyndon coordinates wherever as,ihx are among the kinds, the
+    # tree basis through 5 elsewhere, and never snf at 6
+    for n in range(1, 9):
+        for kinds in (("as", "ihx"), ("as", "ihx", "stu2"), ("as",), ("ihx",), ("stu2",)):
+            lie = {"as", "ihx"} <= set(kinds)
+            if n >= 7:
+                assert cli.pick_method(n, "auto", kinds) == "modular", (n, kinds)
+            elif lie:
+                assert cli.pick_method(n, "auto", kinds) == "lyndon", (n, kinds)
+            elif n <= 5:
+                assert cli.pick_method(n, "auto", kinds) == "snf", (n, kinds)
+            else:
+                with pytest.raises(cli.UsageError):
+                    cli.pick_method(n, "auto", kinds)
+
+
+def test_lyndon_rows_refuses_kinds_without_as_ihx_on_the_call():
+    for kinds in (("as",), ("ihx",), ("stu2",), ("as", "stu2"), ()):
+        with pytest.raises(cli.UsageError):
+            cli.lyndon_rows(4, kinds, "odd")
+    assert list(cli.lyndon_rows(4, ("as", "ihx"), None)) == []
+    assert list(cli.lyndon_rows(4, ("as", "ihx", "stu2"), "odd"))
 
 
 def test_rank_degree_and_method_caps_before_computing(capsys, monkeypatch):
@@ -209,6 +235,15 @@ def test_table_csv_values(capsys):
     assert [r[3] for r in rows] == ["0", "1", "1", "0"]
 
 
+def test_table_auto_and_snf_print_the_same_bytes(capsys):
+    for fmt in ("csv", "json"):
+        _, auto, _ = run_cli(capsys, "table", "--max-n", "5", "--format", fmt)
+        code, snf, _ = run_cli(
+            capsys, "table", "--max-n", "5", "--method", "snf", "--format", fmt
+        )
+        assert code == 0 and auto == snf, fmt
+
+
 def test_table_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "table", "--max-n", "3", "--format", "csv")
     _, out2, _ = run_cli(capsys, "table", "--max-n", "3", "--format", "csv")
@@ -304,6 +339,39 @@ def test_reduce_with_stu2_verdict(capsys):
     )
     assert code == 0
     assert "NONZERO in A^T,odd_2" in out
+
+
+def test_reduce_needs_as_and_ihx(capsys):
+    # a Jacobi sum: zero modulo IHX, but not in the span of AS alone
+    jacobi = "1*[[1,2],3] 1*[[2,3],1] 1*[[3,1],2]"
+    for relations in (("--relations", "as"), ("--relations", "stu2", "--parity", "odd")):
+        code, out, err = run_cli(capsys, "reduce", "--expr", jacobi, *relations)
+        assert code == 2 and not out, relations
+        assert "as,ihx" in err
+    code, out, _ = run_cli(capsys, "reduce", "--expr", jacobi)
+    assert code == 0 and "ZERO in Lie(3)" in out
+
+
+def test_reduce_degree_cap_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is computed beyond the cap")
+
+    monkeypatch.setattr(cli, "to_lyndon_coordinates", refuse)
+    monkeypatch.setattr(cli, "decorated_normal_form", refuse)
+    monkeypatch.setattr(cli, "IntLattice", refuse)
+    plain = "[[[[[[[[1,2],3],4],5],6],7],8],9]"
+    for expr in (plain, plain.replace("1", "1{a}", 1)):
+        code, out, err = run_cli(capsys, "reduce", "--expr", expr)
+        assert code == 3 and not out, expr
+        assert "desk scale" in err
+    # the stu2 verdict is an exact lattice on Lyndon coordinates: its cap is 6
+    for parity in ("odd", "even"):
+        code, out, err = run_cli(
+            capsys, "reduce", "--expr", "[[[[[[1,2],3],4],5],6],7]",
+            "--relations", "as,ihx,stu2", "--parity", parity,
+        )
+        assert code == 2 and not out, parity
+        assert "n <= 6" in err
 
 
 def test_reduce_decorated_as_pair(capsys):
@@ -422,6 +490,25 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         ]
         assert outs[0] == outs[1], argv
         assert outs[0]
+
+
+def test_stu2_audit_script_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    src = str(root / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "stu2_audit.py"), "--max-n", "4"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    quotients = [ln.strip() for ln in proc.stdout.splitlines() if "quotient:" in ln]
+    assert quotients == [
+        "quotient: rank 1, torsion none",  # degree 3, odd
+        "quotient: rank 1, torsion none",  # degree 3, even
+        "quotient: rank 2, torsion none",  # degree 4, odd
+        "quotient: rank 0, torsion [2, 2]",  # degree 4, even
+    ]
 
 
 def test_flags_a_command_does_not_read_are_usage_errors(capsys):

@@ -7,12 +7,12 @@ from jacobitrees.decorations import (
     DecoratedVector,
     GroupSpec,
     decorated_normal_form,
-    decorated_rank,
-    is_zero_decorated,
 )
 from jacobitrees.lie import to_lyndon_coordinates
 from jacobitrees.trees import TreeVector, decorate, leaf, parse_tree
 from jacobitrees.words import Word, parse_word
+
+from conftest import decorated_rank, is_zero_decorated
 
 G2 = GroupSpec(("a", "b"))
 

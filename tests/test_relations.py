@@ -9,13 +9,14 @@ from jacobitrees.relations import (
     RelationKind,
     as_relations,
     build_relation_sets,
-    decorate_relations,
     ihx_relations,
     relation_union,
     stu2_relations,
 )
 from jacobitrees.trees import TreeVector, parse_tree, tree_count, tree_list
 from jacobitrees.words import Word, parse_word
+
+from conftest import decorate_relations, normalize
 
 
 def test_as_counts():
@@ -158,9 +159,9 @@ def test_braid_jacobi_consistency():
         b = ("g", 3, 1)
         c = ("g", 3, 2)
         gamma = model.gamma
-        left = calc.normalize(("b", a, ("b", b, c)))
-        rhs1 = calc.normalize(("b", ("b", a, b), c))
-        rhs2 = calc.normalize(("b", b, ("b", a, c)))
+        left = normalize(calc, ("b", a, ("b", b, c)))
+        rhs1 = normalize(calc, ("b", ("b", a, b), c))
+        rhs2 = normalize(calc, ("b", b, ("b", a, c)))
         sign = (-1) ** (gamma * gamma)
         combined = dict(rhs1)
         for m, v in rhs2.items():

@@ -13,7 +13,6 @@ from jacobitrees.trees import (
     Tree,
     TreeError,
     TreeVector,
-    brute_force_trees,
     decorate,
     enumerate_trees,
     graft,
@@ -27,7 +26,7 @@ from jacobitrees.trees import (
 )
 from jacobitrees.words import Word, parse_word
 
-from conftest import random_tree
+from conftest import brute_force_trees, random_tree
 
 
 def test_counts_small():
