@@ -22,9 +22,10 @@ the top mover.  Multilinear top-layer words are planar binary trees.
 The quadratic-relation generator lives here: for each Lyndon word of length
 n over the spokes p(n, 1..n-1) that uses every spoke and hence doubles
 exactly one of them, the alternating sum of the two point-doubling maps at
-the doubled spoke's endpoints lands in the multilinear top layer.  Those
-images, read as integer tree vectors, span the relation lattice that the
-quotient tables of the CLI measure.
+the doubled spoke's endpoints lands in the multilinear top layer.  Each
+doubling evaluates the word bilinearly on sums of generators at its leaves.
+Those images, read as integer tree vectors, span the relation lattice that
+the quotient tables of the CLI measure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .lie import is_lyndon, standard_factorization
 from .trees import Tree, TreeVector, leaf
@@ -142,10 +143,10 @@ class BraidCalculus:
             a1, a2 = a[1], a[2]
             sign = (-1) ** (_parity(a1, model) * _parity(a2, model))
             out: Element = {}
-            for w, c in self._act_sub(a2, b):
+            for w, c in self.bracket_pure(a2, b):
                 for m, c2 in self.bracket_pure(a1, w):
                     _add(out, m, c * c2)
-            for w, c in self._act_sub(a1, b):
+            for w, c in self.bracket_pure(a1, b):
                 for m, c2 in self.bracket_pure(a2, w):
                     _add(out, m, -sign * c * c2)
             return out
@@ -153,23 +154,13 @@ class BraidCalculus:
         b1, b2 = b[1], b[2]
         sign = (-1) ** (_parity(a, model) * _parity(b1, model))
         out = {}
-        for w, c in self._act_sub(a, b1):
-            for m, c2 in self._act_sub(w, b2):
+        for w, c in self.bracket_pure(a, b1):
+            for m, c2 in self.bracket_pure(w, b2):
                 _add(out, m, c * c2)
-        for w, c in self._act_sub(a, b2):
+        for w, c in self.bracket_pure(a, b2):
             for m, c2 in self.bracket_pure(b1, w):
                 _add(out, m, sign * c * c2)
         return out
-
-    def _act_sub(self, a: Mono, b: Mono) -> Items:
-        """[a, b] where layer(a) may exceed layer(b); dispatches as needed."""
-        la, lb = layer(a), layer(b)
-        if la > lb:
-            return tuple(self._act(a, b).items())
-        if la == lb:
-            return ((("b", a, b), 1),)
-        sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
-        return _scale(self._act(b, a).items(), sign)
 
     def _act_gen_gen(self, a: Mono, b: Mono) -> Items:
         """Single generators, layer(a) > layer(b): the three point rules."""
@@ -261,20 +252,34 @@ def _leaf_order_sign(m: Mono) -> int:
     return sign
 
 
-@lru_cache(maxsize=8)
-def _calculus(model: BraidModel) -> BraidCalculus:
+@lru_cache(maxsize=1)
+def _calculus(model: BraidModel, n: int) -> BraidCalculus:
+    """One calculus per relation family, so its memo goes when the next starts."""
     return BraidCalculus(model)
+
+
+def _bilinear(m: Mono, leaf_sum: Callable, product: Callable) -> Element:
+    """The bracket m evaluated bilinearly: each leaf ("g", mover, x) becomes
+    the element leaf_sum(x), each node the product of its children's."""
+    if m[0] == "g":
+        return leaf_sum(m[2])
+    return product(*(_bilinear(child, leaf_sum, product) for child in m[1:]))
+
+
+def _formal_product(left: Element, right: Element) -> Element:
+    return {("b", a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
 def doubling_image(w: tuple[int, ...], n: int, model: BraidModel) -> TreeVector:
     """Image of the source word under the alternating doubling sum.
 
-    Only the two endpoints of the doubled spoke contribute: doubling the
-    repeated target t sends each of its two leaf occurrences to a distinct
-    copy (two resolutions), and doubling the mover n distributes the leaves
-    over the two mover copies (mixed terms only); everything else misses a
-    point of the enlarged configuration.  The surviving terms are rewritten
-    to the top layer and the multilinear words are read off as trees.
+    Only the two endpoints of the doubled spoke contribute, and each
+    doubling is the bracket evaluated bilinearly on sums at the leaves:
+    doubling the repeated target t puts g(n+1, t) + g(n+1, t+1) at its two
+    leaf occurrences, and doubling the mover n puts g(n, x) + g(n+1, x) at
+    every leaf.  Terms that miss a point of the enlarged configuration
+    repeat a target or stay below the top layer; the multilinear words of
+    the top layer that remain are read off as trees.
     """
     t = next(c for c, k in Counter(w).items() if k == 2)
     return bracket_doubling_image(_word_bracket(w, n), t, n, model)
@@ -288,30 +293,26 @@ def bracket_doubling_image(
     Images of non-standard bracketings stay inside the lattice spanned by
     the Lyndon-word sources (linearity); exposed for that cross-check.
     """
-    calc = _calculus(model)
+    calc = _calculus(model, n)
     acc: Element = {}
 
-    # double the repeated target t: copies {t, t+1}, points above t shift up,
-    # and the two leaf occurrences of t take distinct copies (two resolutions);
-    # the results are pure words of layer n+1, hence already normal
-    def rho(j: int) -> int:
-        return j if j < t else j + 1
+    # double the repeated target t: copies {t, t+1}, targets above t shift up;
+    # giving both t-leaves one copy repeats a target.  The words are pure in
+    # layer n+1, hence already normal: the product is the formal one.
+    def target_sum(x: int) -> Element:
+        if x == t:
+            return {("g", n + 1, t): 1, ("g", n + 1, t + 1): 1}
+        return {("g", n + 1, x if x < t else x + 1): 1}
 
-    for first, second in ((t, t + 1), (t + 1, t)):
-        for mono, sign in _expand_positional(bracket, t, first, second, rho, n, model):
-            _add(acc, mono, sign * (-1) ** t)
+    for mono, c in _bilinear(bracket, target_sum, _formal_product).items():
+        _add(acc, mono, c * (-1) ** t)
 
-    # double the mover n: copies {n, n+1}, each leaf picks a copy.  The sum
-    # over all 2^n choices is the bracket evaluated bilinearly on the sums
-    # g(n, x) + g(n+1, x) at the leaves.  The two choices that leave a copy
-    # unused miss a point; they stay in layer n or repeat a target, so the
-    # multilinear top-layer filter below drops them.
-    def doubled(m: Mono) -> Element:
-        if m[0] == "g":
-            return {("g", n, m[2]): 1, ("g", n + 1, m[2]): 1}
-        return calc.bracket(doubled(m[1]), doubled(m[2]))
+    # double the mover n: copies {n, n+1}, each leaf picks a copy.  The two
+    # choices that leave a copy unused stay in layer n or repeat a target.
+    def mover_sum(x: int) -> Element:
+        return {("g", n, x): 1, ("g", n + 1, x): 1}
 
-    for mono, c in doubled(bracket).items():
+    for mono, c in _bilinear(bracket, mover_sum, calc.bracket).items():
         _add(acc, mono, c * (-1) ** n)
 
     # keep the multilinear words of the top layer, read as trees
@@ -330,30 +331,3 @@ def bracket_doubling_image(
     if not tree_terms:
         return TreeVector.zero(n)
     return TreeVector.from_dict(tree_terms)
-
-
-def _expand_positional(
-    m: Mono, t: int, first: int, second: int, rho, n: int, model: BraidModel
-) -> list[tuple[Mono, int]]:
-    """Substitute targets for the t-doubling, tracking leaf positions.
-
-    The two occurrences of target t get the copies (first, second) in leaf
-    order; other targets relabel through rho; the mover becomes n+1.
-    """
-
-    def go(node: Mono, seen: int) -> list[tuple[Mono, int, int]]:
-        if node[0] == "g":
-            b = node[2]
-            if b == t:
-                copy = first if seen == 0 else second
-                g, s = gen(n + 1, copy, model)
-                return [(g, s, seen + 1)]
-            g, s = gen(n + 1, rho(b), model)
-            return [(g, s, seen)]
-        results = []
-        for lm, ls, seen1 in go(node[1], seen):
-            for rm, rs, seen2 in go(node[2], seen1):
-                results.append((("b", lm, rm), ls * rs, seen2))
-        return results
-
-    return [(mono, sign) for mono, sign, _ in go(m, 0)]

@@ -195,7 +195,8 @@ def quotient_with_cache(cache_dir: str | None, n: int, kinds, parity, method) ->
 
 def cmd_enum(args: argparse.Namespace) -> int:
     n = args.n
-    stream = enumerate_trees(n)  # its TreeError is a usage error
+    pick_method(n, "auto", ("as", "ihx"))  # the degree range every command accepts
+    stream = enumerate_trees(n)
     count = tree_count(n)
     if args.format == "json":
         print(json.dumps({"n": n, "count": count, "trees": [t.serialize() for t in stream]}))
@@ -374,6 +375,8 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     n = t.degree
     if truncate < n:
         raise UsageError(f"truncation {truncate} below tree degree {n}")
+    # the desk-scale cap on the truncation also caps the degree
+    pick_method(truncate, "auto", ("as", "ihx"))
     word = magnus.tree_to_word(t)
     alphabet = [magnus.generator_name(i) for i in range(1, n + 1)]
     poly = magnus.magnus_expand(word, truncate, alphabet)

@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import braidlie
-from .trees import Tree, TreeVector, enumerate_trees, swap_at
+from .trees import Tree, TreeVector, enumerate_trees
 
 
 class RelationKind(str, Enum):
@@ -59,52 +59,53 @@ class RelationSet:
             yield v.serialize()
 
 
+def rewrites(t: Tree, rule: Callable) -> Iterator[tuple[Tree, ...]]:
+    """For each internal vertex of t, root first and then left to right, and
+    each tuple of trees rule(vertex) yields, that tuple with every tree put
+    in the vertex's place in t."""
+    if t.is_leaf:
+        return
+    yield from rule(t)
+    for new in rewrites(t.left, rule):
+        yield tuple(Tree(None, x, t.right) for x in new)
+    for new in rewrites(t.right, rule):
+        yield tuple(Tree(None, t.left, x) for x in new)
+
+
+def swap_rule(node: Tree) -> Iterator[tuple[Tree]]:
+    """AS: the vertex with its two children exchanged."""
+    yield (Tree(None, node.right, node.left),)
+
+
+def jacobi_rule(node: Tree) -> Iterator[tuple[Tree, Tree]]:
+    """IHX: the two regroupings at each internal edge to a child, left first.
+
+    With D the child's sibling and the child carrying (A, B), each vector
+    below expands to zero under the commutator expansion:
+      child on the left:  [[A,B],D] - [[A,D],B] - [A,[B,D]]
+      child on the right: [D,[A,B]] - [[D,A],B] - [A,[D,B]]
+    """
+    if not node.left.is_leaf:
+        a, b, d = node.left.left, node.left.right, node.right
+        yield Tree(None, Tree(None, a, d), b), Tree(None, a, Tree(None, b, d))
+    if not node.right.is_leaf:
+        d, a, b = node.left, node.right.left, node.right.right
+        yield Tree(None, Tree(None, d, a), b), Tree(None, a, Tree(None, d, b))
+
+
 def as_relations(n: int) -> RelationSet:
-    """Gamma + swap_at(Gamma, v), one vector per (tree, internal vertex)."""
+    """Gamma + (Gamma swapped at v), one vector per (tree, internal vertex)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
 
     def produce() -> Iterator[TreeVector]:
         for t in enumerate_trees(n):
-            for addr in t.internal_addresses():
-                # t and its swap differ: the two swapped subtrees have
-                # disjoint nonempty leaf sets
-                yield TreeVector.from_dict({t: 1, swap_at(t, addr): 1})
+            # t and its swap differ: the swapped children have disjoint
+            # nonempty leaf sets
+            for (s,) in rewrites(t, swap_rule):
+                yield TreeVector.from_dict({t: 1, s: 1})
 
     return RelationSet(degree=n, kind=RelationKind.AS, producer=produce)
-
-
-def _ihx_vector(t: Tree, parent_addr: str, child_side: str) -> TreeVector:
-    """Jacobi vector at the internal edge parent -> child, 3 terms (+1,-1,-1).
-
-    With D the sibling subtree and the child carrying (A, B):
-      child on the left:  [[A,B],D] - [[A,D],B] - [A,[B,D]]
-      child on the right: [D,[A,B]] - [[D,A],B] - [A,[D,B]]
-    Both expand to zero under the commutator expansion.
-    """
-    parent = t.subtree(parent_addr)
-    if child_side == "L":
-        child, d_sub = parent.left, parent.right
-        a_sub, b_sub = child.left, child.right
-        repl1 = Tree(None, Tree(None, a_sub, d_sub), b_sub)
-        repl2 = Tree(None, a_sub, Tree(None, b_sub, d_sub))
-    else:
-        d_sub, child = parent.left, parent.right
-        a_sub, b_sub = child.left, child.right
-        repl1 = Tree(None, Tree(None, d_sub, a_sub), b_sub)
-        repl2 = Tree(None, a_sub, Tree(None, d_sub, b_sub))
-
-    def replace(node: Tree, rest: str, new: Tree) -> Tree:
-        if not rest:
-            return new
-        if rest[0] == "L":
-            return Tree(None, replace(node.left, rest[1:], new), node.right)
-        return Tree(None, node.left, replace(node.right, rest[1:], new))
-
-    t1 = replace(t, parent_addr, repl1)
-    t2 = replace(t, parent_addr, repl2)
-    # three distinct trees: A, B and D have disjoint nonempty leaf sets
-    return TreeVector.from_dict({t: 1, t1: -1, t2: -1})
 
 
 def ihx_relations(n: int) -> RelationSet:
@@ -114,12 +115,9 @@ def ihx_relations(n: int) -> RelationSet:
         if n < 3:
             return
         for t in enumerate_trees(n):
-            for addr in t.internal_addresses():
-                node = t.subtree(addr)
-                if not node.left.is_leaf:
-                    yield _ihx_vector(t, addr, "L")
-                if not node.right.is_leaf:
-                    yield _ihx_vector(t, addr, "R")
+            # three distinct trees: A, B and D have disjoint nonempty leaf sets
+            for t1, t2 in rewrites(t, jacobi_rule):
+                yield TreeVector.from_dict({t: 1, t1: -1, t2: -1})
 
     return RelationSet(degree=n, kind=RelationKind.IHX, producer=produce)
 

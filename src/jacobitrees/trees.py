@@ -13,9 +13,6 @@ optional integer exponents ("a^-1 b").  An empty DECOR "{}" denotes the
 identity word; it is printed for identity decorations so that decorated and
 undecorated trees never serialise to the same string.
 
-Internal vertices are addressed by strings over {"L", "R"} read from the
-root ("" is the root).
-
 A Tree stores its canonical text form, built once from its children's, and
 that string is its identity: hashing, equality and the order of vector terms
 all read it.
@@ -111,23 +108,6 @@ class Tree:
     def __str__(self) -> str:
         return self._key
 
-    def internal_addresses(self) -> Iterator[str]:
-        """Addresses of internal vertices, root first, in L-to-R order."""
-        if self.is_leaf:
-            return
-        yield ""
-        for side, child in (("L", self.left), ("R", self.right)):
-            for addr in child.internal_addresses():
-                yield side + addr
-
-    def subtree(self, address: str) -> "Tree":
-        node = self
-        for i, step in enumerate(address):
-            if node.is_leaf:
-                raise TreeError(f"address {address!r} leaves the tree at step {i}")
-            node = node.left if step == "L" else node.right
-        return node
-
     def to_json_obj(self):
         if self.is_leaf:
             return {"leaf": self.label}
@@ -151,22 +131,6 @@ def graft(t1: Tree, t2: Tree) -> Tree:
     if common:
         raise TreeError(f"duplicate leaf labels: {sorted(common)}")
     return Tree(label=None, left=t1, right=t2)
-
-
-def swap_at(t: Tree, address: str) -> Tree:
-    """Exchange the two children of the internal vertex at `address`."""
-    target = t.subtree(address)
-    if target.is_leaf:
-        raise TreeError(f"address {address!r} is a leaf, not an internal vertex")
-
-    def rebuild(node: Tree, rest: str) -> Tree:
-        if not rest:
-            return Tree(label=None, left=node.right, right=node.left)
-        if rest[0] == "L":
-            return Tree(label=None, left=rebuild(node.left, rest[1:]), right=node.right)
-        return Tree(label=None, left=node.left, right=rebuild(node.right, rest[1:]))
-
-    return rebuild(t, address)
 
 
 @dataclass(frozen=True, slots=True)

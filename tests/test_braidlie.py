@@ -107,7 +107,7 @@ def _random_bracket(rng, letters, mover):
 def test_arbitrary_bracketings_stay_in_lattice(rng):
     # the Lyndon source words are a basis, so by linearity the image of any
     # bracketing of the source letters lies in the lattice they span; this
-    # exercises the positional copy assignment end to end
+    # exercises the target-copy substitution end to end
     import math
 
     from jacobitrees.intlinalg import IntLattice
@@ -133,7 +133,8 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle for the mover doubling: expand all 2^n assignments of
+# brute-force oracle for both doublings: the two positional assignments of
+# the target copies {t, t+1} to the two t-leaves, and all 2^n assignments of
 # leaves to the mover copies {n, n+1}, then normalise monomial by monomial
 
 
@@ -158,6 +159,31 @@ def _leaf_movers(m):
     return _leaf_movers(m[1]) | _leaf_movers(m[2])
 
 
+def _expand_positional(m, t, first, second, rho, n, model):
+    """Substitute targets for the t-doubling, tracking leaf positions.
+
+    The two occurrences of target t get the copies (first, second) in leaf
+    order; other targets relabel through rho; the mover becomes n+1.
+    """
+
+    def go(node, seen):
+        if node[0] == "g":
+            b = node[2]
+            if b == t:
+                copy = first if seen == 0 else second
+                g, s = braidlie.gen(n + 1, copy, model)
+                return [(g, s, seen + 1)]
+            g, s = braidlie.gen(n + 1, rho(b), model)
+            return [(g, s, seen)]
+        results = []
+        for lm, ls, seen1 in go(node[1], seen):
+            for rm, rs, seen2 in go(node[2], seen1):
+                results.append((("b", lm, rm), ls * rs, seen2))
+        return results
+
+    return [(mono, sign) for mono, sign, _ in go(m, 0)]
+
+
 def brute_force_doubling_image(bracket, t, n, model, calc):
     acc = {}
 
@@ -168,9 +194,7 @@ def brute_force_doubling_image(bracket, t, n, model, calc):
         return j if j < t else j + 1
 
     for first, second in ((t, t + 1), (t + 1, t)):
-        for mono, sign in braidlie._expand_positional(
-            bracket, t, first, second, rho, n, model
-        ):
+        for mono, sign in _expand_positional(bracket, t, first, second, rho, n, model):
             add(mono, sign * (-1) ** t)
     options = {
         ("g", n, x): [(("g", n, x), 1), (("g", n + 1, x), 1)] for x in range(1, n)

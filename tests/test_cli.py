@@ -39,7 +39,15 @@ def test_enum_degree1(capsys):
 def test_enum_zero_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "enum", "--n", "0")
     assert code == 2
-    assert "cap" in err
+    assert "below 1" in err
+
+
+def test_enum_degree_range_matches_the_other_commands(capsys):
+    cases = (("0", 2, "below 1"), ("-1", 2, "below 1"), ("9", 3, "desk scale"))
+    for n, want, reason in cases:
+        code, out, err = run_cli(capsys, "enum", "--n", n)
+        assert code == want and not out
+        assert reason in err
 
 
 def test_rank_as_ihx_degree4(capsys):
@@ -440,6 +448,19 @@ def test_magnus_truncation_usage_error(capsys):
     code, _, err = run_cli(capsys, "magnus", "--tree", "[1,2]", "--truncate", "1")
     assert code == 2
     assert "truncation" in err
+
+
+def test_magnus_beyond_desk_scale_aborts_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("magnus expanded beyond desk scale")
+
+    monkeypatch.setattr(cli.magnus, "magnus_expand", refuse)
+    cap = max(cli.METHOD_CAPS.values())
+    for tree in ("[1,2]", "[[[[[[[[1,2],3],4],5],6],7],8],9]"):
+        argv = ("magnus", "--tree", tree, "--truncate", str(cap + 4))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and not out
+        assert "desk scale" in err
 
 
 def test_verify_runs_clean(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -216,3 +217,34 @@ def test_build_relation_sets():
 def test_dump_format():
     lines = list(as_relations(2).dump())
     assert lines == ["+1*[1,2] +1*[2,1]", "+1*[1,2] +1*[2,1]"]
+
+
+def _stream_sha256(vectors):
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update((v.serialize() + "\n").encode())
+    return h.hexdigest()
+
+
+def test_as_ihx_streams_pinned():
+    # every vector, in stream order: AS then IHX for each degree
+    def stream():
+        for n in range(1, 6):
+            yield from as_relations(n).vectors()
+            yield from ihx_relations(n).vectors()
+
+    assert _stream_sha256(stream()) == (
+        "150cb78b73ae2e348d70577581eee1e27457c551b61231590b4c0e7f52be2a59"
+    )
+
+
+@pytest.mark.parametrize(
+    "parity, digest",
+    [
+        ("odd", "4e5bba867d979959d005d68070813dc8ec6b0a4e038ab60be6f1888ec71a2026"),
+        ("even", "969520b94ac42b7f03dc9e45d38f92543db3019a493ddf5d6933490fb47241a9"),
+    ],
+)
+def test_stu2_streams_pinned(parity, digest):
+    vectors = (v for n in range(3, 7) for v in stu2_relations(n, parity).vectors())
+    assert _stream_sha256(vectors) == digest

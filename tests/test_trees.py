@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from jacobitrees.relations import rewrites, swap_rule
 from jacobitrees.trees import (
     DecoratedTree,
     ParseError,
@@ -19,7 +20,6 @@ from jacobitrees.trees import (
     leaf,
     parse_tree,
     parse_tree_vector,
-    swap_at,
     to_json,
     tree_count,
     tree_list,
@@ -93,18 +93,17 @@ def test_graft_injective_on_pairs(rng):
         seen[key] = t.serialize()
 
 
+def _swaps(t):
+    return [s for (s,) in rewrites(t, swap_rule)]
+
+
 def test_swap_at_root():
-    assert swap_at(parse_tree("[1,2]"), "").serialize() == "[2,1]"
-    assert swap_at(parse_tree("[[1,2],3]"), "").serialize() == "[3,[1,2]]"
-    assert swap_at(parse_tree("[[1,2],3]"), "L").serialize() == "[[2,1],3]"
-
-
-def test_swap_at_errors():
-    t = parse_tree("[[1,2],3]")
-    with pytest.raises(TreeError):
-        swap_at(t, "R")  # leaf 3
-    with pytest.raises(TreeError):
-        swap_at(t, "LLL")
+    # AS rewrites come root first, then left to right
+    assert _swaps(parse_tree("[1,2]")) == [parse_tree("[2,1]")]
+    assert _swaps(parse_tree("[[1,2],3]")) == [
+        parse_tree("[3,[1,2]]"),
+        parse_tree("[[2,1],3]"),
+    ]
 
 
 @given(st.integers(0, 10_000))
@@ -114,9 +113,11 @@ def test_swap_involution(seed):
     rng = _random.Random(seed)
     n = rng.randint(2, 5)
     t = random_tree(rng, list(range(1, n + 1)))
-    addrs = list(t.internal_addresses())
-    addr = rng.choice(addrs)
-    assert swap_at(swap_at(t, addr), addr) == t
+    swaps = _swaps(t)
+    assert len(swaps) == n - 1
+    # swapping at a vertex keeps its place in the order of the vertices
+    i = rng.randrange(len(swaps))
+    assert _swaps(swaps[i])[i] == t
 
 
 def test_parse_examples():
