@@ -17,7 +17,9 @@ are exactly two models:
 
 Elements decompose over layers (the largest point index of a word); the
 layer-normal form rewrites any bracket into words whose leaves all share
-the top mover.  Multilinear top-layer words are planar binary trees.
+the top mover.  Multilinear top-layer words are planar binary trees, and
+`top_layer_vector` is the one extraction from normalised elements to tree
+vectors: one walk per word builds its tree, its leaf-order sign, or drops it.
 
 The quadratic-relation generator lives here: for each Lyndon word of length
 n over the spokes p(n, 1..n-1) that uses every spoke and hence doubles
@@ -96,12 +98,6 @@ def _add(acc: Element, m: Mono, c: int) -> None:
 
 def _scale(items: Iterable[tuple[Mono, int]], c: int) -> Items:
     return tuple((m, c * v) for m, v in items) if c else ()
-
-
-def _is_pure(m: Mono, top: int) -> bool:
-    if m[0] == "g":
-        return m[1] == top
-    return _is_pure(m[1], top) and _is_pure(m[2], top)
 
 
 class BraidCalculus:
@@ -227,31 +223,6 @@ def source_words(n: int) -> list[tuple[int, ...]]:
 # the doubling differential
 
 
-def _leaf_targets(m: Mono) -> list[int]:
-    if m[0] == "g":
-        return [m[2]]
-    return _leaf_targets(m[1]) + _leaf_targets(m[2])
-
-
-def _mono_to_tree(m: Mono) -> Tree:
-    """The tree of a multilinear word; its distinct targets are the leaves."""
-    if m[0] == "g":
-        return leaf(m[2])
-    return Tree(None, _mono_to_tree(m[1]), _mono_to_tree(m[2]))
-
-
-def _leaf_order_sign(m: Mono) -> int:
-    """Parity of the leaf-target word; the multilinear sign correction
-    between odd-graded bracket words and ungraded trees."""
-    seq = _leaf_targets(m)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=1)
 def _calculus(model: BraidModel, n: int) -> BraidCalculus:
     """One calculus per relation family, so its memo goes when the next starts."""
@@ -315,19 +286,43 @@ def bracket_doubling_image(
     for mono, c in _bilinear(bracket, mover_sum, calc.bracket).items():
         _add(acc, mono, c * (-1) ** n)
 
-    # keep the multilinear words of the top layer, read as trees
-    tree_terms: dict[Tree, int] = {}
-    needed = set(range(1, n + 1))
-    for mono, c in acc.items():
-        if not _is_pure(mono, n + 1):
+    return top_layer_vector(acc, n, model)
+
+
+def top_layer_vector(elem: Element, n: int, model: BraidModel) -> TreeVector:
+    """The multilinear words of layer n+1 in a normalised element, as trees.
+
+    One walk per word builds its tree and drops the word at the first
+    generator whose mover is not n+1 or whose target repeats.  Normalisation
+    keeps every word at n generators, all with targets below their mover,
+    so a word that survives uses each of the points 1..n exactly once.  In
+    the odd model a tree takes the parity of its leaf-target word as sign:
+    the correction between odd-graded bracket words and ungraded trees.
+    """
+    top = n + 1
+
+    def walk(m: Mono) -> Tree | None:
+        if m[0] == "g":
+            if m[1] != top or m[2] in targets:
+                return None
+            targets.append(m[2])
+            return leaf(m[2])
+        left = walk(m[1])
+        if left is None:
+            return None
+        right = walk(m[2])
+        return None if right is None else Tree(None, left, right)
+
+    terms: dict[Tree, int] = {}
+    for mono, c in elem.items():
+        targets: list[int] = []
+        tree = walk(mono)
+        if tree is None:
             continue
-        targets = _leaf_targets(mono)
-        if len(targets) != n or set(targets) != needed:
-            continue
-        sign = _leaf_order_sign(mono) if model.gamma else 1
-        tree = _mono_to_tree(mono)
-        tree_terms[tree] = tree_terms.get(tree, 0) + sign * c
-    tree_terms = {k: v for k, v in tree_terms.items() if v}
-    if not tree_terms:
-        return TreeVector.zero(n)
-    return TreeVector.from_dict(tree_terms)
+        if model.gamma:
+            for i, x in enumerate(targets):
+                for y in targets[i + 1:]:
+                    if x > y:
+                        c = -c
+        terms[tree] = terms.get(tree, 0) + c
+    return TreeVector.from_dict(terms) if any(terms.values()) else TreeVector.zero(n)

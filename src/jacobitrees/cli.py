@@ -310,6 +310,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except TreeError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     n = vec.degree
+    group = GroupSpec(args.group or ("a", "b"))  # validated for every input
     if not lie_quotient(args.relations):
         raise UsageError("reduce works in Lie(n): relations must include as,ihx")
     # the degree cap of the route that runs, before any work: the stu2
@@ -318,7 +319,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     pick_method(n, "lyndon" if stu2_verdict else "auto", args.relations)
 
     if vec.decorated:
-        group = GroupSpec(args.group or ("a", "b"))
         dv = DecoratedVector(vector=vec, group=group)
         blocks = decorated_normal_form(dv)
         zero = all(not any(c) for c in blocks.values())
@@ -376,7 +376,9 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     if truncate < n:
         raise UsageError(f"truncation {truncate} below tree degree {n}")
     # the desk-scale cap on the truncation also caps the degree
-    pick_method(truncate, "auto", ("as", "ihx"))
+    desk_cap = max(METHOD_CAPS.values())
+    if truncate > desk_cap:
+        raise ResourceAbort(f"truncation {truncate} is beyond desk scale (cap {desk_cap})")
     word = magnus.tree_to_word(t)
     alphabet = [magnus.generator_name(i) for i in range(1, n + 1)]
     poly = magnus.magnus_expand(word, truncate, alphabet)
@@ -410,7 +412,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pick_method(max_n, "auto", ("as", "ihx"))  # the degree range every command accepts
     if max_n > VERIFY_CAP:
         raise ResourceAbort(f"verify --max-n {max_n} is beyond its cap {VERIFY_CAP}")
-    rng = random.Random(args.seed)
+    rng = random.Random(0)
     failures = 0
 
     def check(name: str, ok: bool):
@@ -519,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the quick invariant suite")
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

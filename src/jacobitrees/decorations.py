@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .lie import to_lyndon_coordinates
 from .trees import DecoratedTree, Tree, TreeVector
-from .words import Word, parse_word
+from .words import _GEN_RE, Word, parse_word
 
 
 class DecorationError(ValueError):
@@ -31,7 +31,7 @@ class GroupSpec:
         if len(set(self.generators)) != len(self.generators):
             raise DecorationError("generator names must be distinct")
         for g in self.generators:
-            if not g or not g[0].isalpha() and g[0] != "_":
+            if not _GEN_RE.match(g):
                 raise DecorationError(f"bad generator name {g!r}")
 
     def word(self, text: str) -> Word:

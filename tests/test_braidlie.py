@@ -2,28 +2,11 @@
 
 from jacobitrees import braidlie
 from jacobitrees.lie import GradedConfig, expand, to_lyndon_coordinates
-from jacobitrees.trees import TreeVector, enumerate_trees
+from jacobitrees.trees import TreeVector, enumerate_trees, parse_tree
 
 from conftest import normalize
 
 MODELS = (braidlie.MODEL_ODD_DIM, braidlie.MODEL_EVEN_DIM)
-
-
-def element_to_tree_vector(elem, n, model):
-    """Multilinear top-layer part as a tree vector (with the odd-model
-    leaf-permutation sign), mirroring the extraction in doubling_image."""
-    terms = {}
-    for mono, c in elem.items():
-        if braidlie.layer(mono) != n + 1 or not braidlie._is_pure(mono, n + 1):
-            continue
-        targets = braidlie._leaf_targets(mono)
-        if sorted(targets) != list(range(1, n + 1)):
-            continue
-        sign = braidlie._leaf_order_sign(mono) if model.gamma else 1
-        t = braidlie._mono_to_tree(mono)
-        terms[t] = terms.get(t, 0) + sign * c
-    terms = {k: v for k, v in terms.items() if v}
-    return TreeVector.from_dict(terms) if terms else TreeVector.zero(n)
 
 
 def test_yang_baxter_annihilation_in_coordinates():
@@ -40,9 +23,27 @@ def test_yang_baxter_annihilation_in_coordinates():
                 acc[m] = acc.get(m, 0) + s0 * s1 * c
             for m, c in normalize(calc, ("b", gab, gzb)).items():
                 acc[m] = acc.get(m, 0) + s0 * s2 * c
-            v = element_to_tree_vector({m: c for m, c in acc.items() if c}, n, model)
+            v = braidlie.top_layer_vector(acc, n, model)
             coords = to_lyndon_coordinates(v, n) if not v.is_zero else [0]
             assert not any(coords), (model, a, b, z)
+
+
+def test_top_layer_vector_reads_multilinear_top_words():
+    # n = 3: only words pure in layer 4 with distinct targets become trees,
+    # and the odd model signs each tree by its leaf-target parity
+    def word(m1, t1, m2, t2, m3, t3):
+        return ("b", ("b", ("g", m1, t1), ("g", m2, t2)), ("g", m3, t3))
+
+    in_layer_n = word(3, 1, 3, 2, 3, 1)
+    mixed_movers = word(4, 2, 3, 1, 4, 3)
+    repeated = word(4, 1, 4, 2, 4, 1)
+    leaf_order_213 = word(4, 2, 4, 1, 4, 3)
+    dropped = {in_layer_n: 3, mixed_movers: 11, repeated: 7}
+    for model, sign in ((braidlie.MODEL_ODD_DIM, -1), (braidlie.MODEL_EVEN_DIM, 1)):
+        none = braidlie.top_layer_vector(dropped, 3, model)
+        assert none.is_zero and none.degree == 3
+        got = braidlie.top_layer_vector({**dropped, leaf_order_213: 5}, 3, model)
+        assert got == TreeVector.single(parse_tree("[[2,1],3]"), 5 * sign)
 
 
 def _word_sign(w):
@@ -207,9 +208,7 @@ def brute_force_doubling_image(bracket, t, n, model, calc):
     for mono, c in acc.items():
         for mm, cc in normalize(calc, mono).items():
             normalized[mm] = normalized.get(mm, 0) + c * cc
-    return element_to_tree_vector(
-        {m: c for m, c in normalized.items() if c}, n, model
-    )
+    return braidlie.top_layer_vector(normalized, n, model)
 
 
 def test_doubling_image_matches_brute_force(rng):

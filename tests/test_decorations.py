@@ -22,8 +22,9 @@ def test_group_spec_validation():
         GroupSpec(())
     with pytest.raises(DecorationError):
         GroupSpec(("a", "a"))
-    with pytest.raises(DecorationError):
-        GroupSpec(("1bad",))
+    for bad in ("1bad", "é", "a-b"):
+        with pytest.raises(DecorationError):
+            GroupSpec((bad,))
     assert G2.word("a b^-1").letters == (("a", 1), ("b", -1))
     with pytest.raises(DecorationError):
         G2.word("c")

@@ -248,3 +248,15 @@ def test_as_ihx_streams_pinned():
 def test_stu2_streams_pinned(parity, digest):
     vectors = (v for n in range(3, 7) for v in stu2_relations(n, parity).vectors())
     assert _stream_sha256(vectors) == digest
+
+
+@pytest.mark.parametrize(
+    "parity, digest",
+    [
+        ("odd", "5616ff27c460f10917fc5c0e9fcc23a5d2bd4140d21700470f16c4b60ebdf2b7"),
+        ("even", "a558d616d4788b4f6e4e7e1472672e662b22922c7665d43df2ea11084f025e6c"),
+    ],
+)
+def test_stu2_streams_pinned_at_degree_7(parity, digest):
+    # the degree of `rank --n 7`, beyond the n = 3..6 pins above
+    assert _stream_sha256(stu2_relations(7, parity).vectors()) == digest
