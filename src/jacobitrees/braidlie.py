@@ -77,10 +77,14 @@ def weight(m: Mono) -> int:
 
 
 def layer(m: Mono) -> int:
-    """Largest mover in the monomial; pure words have one mover."""
-    if m[0] == "g":
-        return m[1]
-    return max(layer(m[1]), layer(m[2]))
+    """The mover of the leftmost leaf of a pure word.
+
+    A pure word has one mover on all its leaves, so this is its largest
+    mover; bracket_pure, the one caller, only ever sees pure words.
+    """
+    while m[0] == "b":
+        m = m[1]
+    return m[1]
 
 
 def _parity(m: Mono, model: BraidModel) -> int:
@@ -112,21 +116,22 @@ class BraidCalculus:
     def bracket_pure(self, a: Mono, b: Mono) -> Items:
         """[a, b] for pure words, rewritten into pure-layer words.
 
-        Returned as the memoised tuple of (word, coefficient) items.
+        Returned as a tuple of (word, coefficient) items.  A same-layer
+        bracket is the formal word itself and a lower-by-higher one the
+        signed reverse, both built on the spot; only the cross-layer action
+        layer(a) > layer(b) is memoised, in _pair_cache, which lives as long
+        as the calculus: one relation family (see _calculus).
         """
-        key = (a, b)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
         la, lb = layer(a), layer(b)
         if la == lb:
-            out: Items = ((("b", a, b), 1),)
-        elif la < lb:
+            return ((("b", a, b), 1),)
+        if la < lb:
             sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
-            out = _scale(self.bracket_pure(b, a), sign)
-        else:
-            out = tuple(self._act(a, b).items())
-        self._pair_cache[key] = out
+            return _scale(self.bracket_pure(b, a), sign)
+        key = (a, b)
+        out = self._pair_cache.get(key)
+        if out is None:
+            out = self._pair_cache[key] = tuple(self._act(a, b).items())
         return out
 
     def _act(self, a: Mono, b: Mono) -> Element:

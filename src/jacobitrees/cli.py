@@ -100,8 +100,9 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
 
     Z[Tree(n)] / (AS, IHX) is free on the Lyndon brackets, so AS and IHX
     give no rows.  Each stu2 vector is straightened, a route whose agreement
-    with the expansion route is a tested invariant.  Kinds without as,ihx
-    are refused on the call, not on the first row.
+    with the expansion route is a tested invariant; each distinct tree once
+    per call, through a memo that lives as long as the returned generator.
+    Kinds without as,ihx are refused on the call, not on the first row.
     """
     if not lie_quotient(kinds):
         raise UsageError(
@@ -113,8 +114,9 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
 
     def rows():
         index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
+        memo = {}
         for v in relations.stu2_relations(n, parity).vectors():
-            row = {index[k]: c for k, c in straighten_vector(v).items()}
+            row = {index[k]: c for k, c in straighten_vector(v, memo).items()}
             if row:
                 yield row
 

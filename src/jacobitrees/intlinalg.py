@@ -23,11 +23,6 @@ from typing import Iterable, Sequence
 
 from .trees import Tree, TreeVector
 
-#: Columns beyond which exact elimination is refused and callers should use
-#: modular rank instead.
-EXACT_COLUMN_THRESHOLD = 200_000
-
-
 class LinalgError(ValueError):
     pass
 
@@ -102,11 +97,6 @@ class IntLattice:
     """Row-style Hermite accumulator for a sublattice of Z^n."""
 
     def __init__(self, ambient: int):
-        if ambient > EXACT_COLUMN_THRESHOLD:
-            raise LinalgError(
-                f"{ambient} columns exceeds the exact threshold "
-                f"{EXACT_COLUMN_THRESHOLD}; use modular rank"
-            )
         self.n = ambient
         self.pivot_rows: dict[int, Row] = {}  # pivot column -> row
 

@@ -293,9 +293,27 @@ def straighten(t: Tree) -> dict[WordT, int]:
     return {w: c for w, c in acc.items() if c != 0}
 
 
-def straighten_vector(v: TreeVector) -> dict[WordT, int]:
+def straighten_vector(
+    v: TreeVector,
+    memo: dict[str, tuple[tuple[WordT, ...], tuple[int, ...]]] | None = None,
+) -> dict[WordT, int]:
+    """straighten, extended linearly over the terms of v.
+
+    memo maps the serialisation of a tree to its straightening, filled on a
+    miss and held as two parallel tuples, the Lyndon words and their
+    coefficients: under half the memory of one pair per item.  The caller
+    owns it and sets its life: cli.lyndon_rows keeps one for one relation
+    family, so each distinct tree of the family is straightened once.
+    Without one, the memo lives for this call only.
+    """
+    memo = {} if memo is None else memo
     acc: dict[WordT, int] = {}
     for t, c in v.terms:
-        for w, cc in straighten(t).items():
+        key = t.serialize()
+        entry = memo.get(key)
+        if entry is None:
+            s = straighten(t)
+            entry = memo[key] = (tuple(s), tuple(s.values()))
+        for w, cc in zip(*entry):
             acc[w] = acc.get(w, 0) + c * cc
     return {w: c for w, c in acc.items() if c != 0}

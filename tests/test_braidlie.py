@@ -96,6 +96,29 @@ def test_doubling_image_degree_and_mode():
             assert v.degree == 4 and not v.decorated
 
 
+def test_bracket_returns_pure_words(monkeypatch):
+    # layer reads the mover of the leftmost leaf, exact on pure words only.
+    # The doubling brackets generators and earlier bracket results, so if
+    # every word the bracket returns is pure, so is every word it is given
+    original = braidlie.BraidCalculus.bracket
+    words = set()
+
+    def recorded(self, left, right):
+        out = original(self, left, right)
+        words.update(out)
+        return out
+
+    monkeypatch.setattr(braidlie.BraidCalculus, "bracket", recorded)
+    for model in MODELS:
+        for n in range(3, 7):
+            for w in braidlie.source_words(n):
+                braidlie.doubling_image(w, n, model)
+    assert words
+    for m in words:
+        movers = _leaf_movers(m)
+        assert len(movers) == 1 and braidlie.layer(m) == max(movers), m
+
+
 def _random_bracket(rng, letters, mover):
     if len(letters) == 1:
         return ("g", mover, letters[0])

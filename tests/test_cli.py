@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -137,6 +139,54 @@ def test_lyndon_rows_refuses_kinds_without_as_ihx_on_the_call():
             cli.lyndon_rows(4, kinds, "odd")
     assert list(cli.lyndon_rows(4, ("as", "ihx"), None)) == []
     assert list(cli.lyndon_rows(4, ("as", "ihx", "stu2"), "odd"))
+
+
+@pytest.mark.parametrize(
+    "parity, digest",
+    [
+        ("odd", "a3b002fd2cd7586b099346e0ec92cefa9bbc5c417c10d6fc4f3c6d62a8cdc0d9"),
+        ("even", "7c84afc1777da00837fce6b9de2f1c6b8b9e1dd5488d599e7dbc110b9c55e9ac"),
+    ],
+)
+def test_lyndon_rows_pinned(parity, digest):
+    # every row of n = 3..7, in stream order with its items sorted
+    h = hashlib.sha256()
+    for n in range(3, 8):
+        for row in cli.lyndon_rows(n, ("as", "ihx", "stu2"), parity):
+            h.update((repr(sorted(row.items())) + "\n").encode())
+    assert h.hexdigest() == digest
+
+
+def test_lyndon_rows_straighten_each_distinct_tree_once_per_call(monkeypatch):
+    # straighten recurses through the module name, so the patch sees the
+    # subtrees too; only calls on degree-n trees come from straighten_vector
+    from jacobitrees import lie, relations
+
+    n, parity = 5, "even"
+    seen = collections.Counter()
+    original = lie.straighten
+
+    def counted(t):
+        if t.degree == n:
+            seen[t.serialize()] += 1
+        return original(t)
+
+    monkeypatch.setattr(lie, "straighten", counted)
+    family = {t.serialize() for v in relations.stu2_relations(n, parity).vectors()
+              for t, _ in v.terms}
+    for _ in range(2):  # each call starts from an empty memo
+        seen.clear()
+        assert list(cli.lyndon_rows(n, ("as", "ihx", "stu2"), parity))
+        assert seen == collections.Counter(family)
+
+
+def test_rank_degree7_even_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, "rank", "--n", "7", "--relations", "as,ihx,stu2", "--parity", "even",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "7,2,unknown,modular,probabilistic over Q"
 
 
 def test_rank_degree_and_method_caps_before_computing(capsys, monkeypatch):

@@ -374,8 +374,3 @@ def test_cache_roundtrip(tmp_path):
     assert cache_load(str(tmp_path), key) is None
     cache_store(str(tmp_path), key, res)
     assert cache_load(str(tmp_path), key) == res
-
-
-def test_exact_threshold_guard():
-    with pytest.raises(LinalgError, match="exceeds"):
-        IntLattice(300_000)

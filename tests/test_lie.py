@@ -165,6 +165,29 @@ def test_straighten_vector_linear(rng):
     assert [s.get(w, 0) for w, _ in basis] == to_lyndon_coordinates(v, n)
 
 
+def test_straighten_vector_memo_matches_fresh(rng):
+    # one memo shared over a stream of vectors of mixed degrees, with trees
+    # repeating across vectors: every result equals the one without a
+    # memo and the sum of the terms' own straightenings
+    def summed(v):
+        acc = {}
+        for t, c in v.terms:
+            for w, cc in straighten(t).items():
+                acc[w] = acc.get(w, 0) + c * cc
+        return {w: c for w, c in acc.items() if c}
+
+    memo = {}
+    pool = [random_tree(rng, list(range(1, n + 1))) for n in (2, 3, 4, 5, 6) for _ in range(4)]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        trees = [t for t in pool if t.degree == n]
+        picked = rng.sample(trees, rng.randint(1, len(trees)))
+        v = TreeVector.from_dict({t: rng.choice((-2, -1, 1, 3)) for t in picked})
+        assert straighten_vector(v, memo) == straighten_vector(v) == summed(v)
+    assert all(isinstance(k, str) and isinstance(entry, tuple) for k, entry in memo.items())
+    assert set(memo) <= {t.serialize() for t in pool}
+
+
 @given(st.integers(0, 50_000))
 @settings(max_examples=40, deadline=None)
 def test_coordinates_additive(seed):
