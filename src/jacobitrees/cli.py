@@ -16,21 +16,16 @@ import os
 import pathlib
 import random
 import sys
+import tempfile
 import time
 
 from . import intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
 from .words import WordError
-from .intlinalg import (
-    IntLattice,
-    SnfResult,
-    cache_key,
-    cache_load,
-    cache_store,
-    snf_from_rows,
-)
+from .intlinalg import IntLattice, SnfResult, snf_from_rows
 from .lie import lyndon_basis, straighten_vector, to_lyndon_coordinates
 from .trees import (
+    ENUMERATION_CAP,
     TreeError,
     TreeVector,
     enumerate_trees,
@@ -44,9 +39,9 @@ CACHE_ENV = "JACOBITREES_CACHE_DIR"
 RELATION_KINDS = ("as", "ihx", "stu2")
 
 #: The largest degree each method may run at.  Exact SNF stops at 6 because
-#: at 7 coefficient swell keeps it from finishing; beyond 8 is out of desk
-#: scale for every method.
-METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": 8}
+#: at 7 coefficient swell keeps it from finishing; beyond the enumeration cap
+#: is out of desk scale for every method and every command.
+METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": ENUMERATION_CAP}
 
 #: The largest --max-n verify runs at.  It expands every tree of each
 #: degree: 6 takes over a minute, 7 would expand 665 280 trees and 8 would
@@ -71,11 +66,10 @@ def lie_quotient(kinds: tuple[str, ...]) -> bool:
 def pick_method(n: int, method: str, kinds: tuple[str, ...]) -> str:
     """The method degree n runs with under relations kinds: auto resolved,
     the caps enforced."""
-    desk_cap = max(METHOD_CAPS.values())
     if n < 1:
         raise UsageError(f"degree {n} is below 1 (--n and --max-n start at 1)")
-    if n > desk_cap:
-        raise ResourceAbort(f"n = {n} is beyond desk scale (cap {desk_cap})")
+    if n > ENUMERATION_CAP:
+        raise ResourceAbort(f"n = {n} is beyond desk scale (cap {ENUMERATION_CAP})")
     if method == "auto":
         # Lyndon coordinates present every quotient of Lie(n); the full tree
         # basis is cheap only through 5
@@ -137,7 +131,13 @@ def compute_quotient(
 
     if method == "snf":
         basis = tree_list(n)
-        sets = relations.build_relation_sets(n, kinds, parity)
+        # looked up on the module per call, where perfbench wraps them
+        families = {
+            "as": lambda: relations.as_relations(n),
+            "ihx": lambda: relations.ihx_relations(n),
+            "stu2": lambda: relations.stu2_relations(n, parity),
+        }
+        sets = [families[kind]() for kind in kinds]
         return intlinalg.cokernel(relations.relation_union(sets), basis)
 
     cols = math.factorial(n - 1)
@@ -172,6 +172,35 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
+def cache_key(**kwargs) -> str:
+    blob = json.dumps(kwargs, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def cache_load(cache_dir: str, key: str) -> SnfResult | None:
+    """The cached result, or None for a missing, unreadable or invalid entry."""
+    path = os.path.join(cache_dir, f"{key}.json")
+    try:
+        with open(path) as fh:
+            return SnfResult.from_json_obj(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def cache_store(cache_dir: str, key: str, result: SnfResult) -> None:
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, f"{key}.json")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(result.to_json_obj(), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def quotient_with_cache(cache_dir: str | None, n: int, kinds, parity, method) -> SnfResult:
     """compute_quotient through the result cache in cache_dir, or else in
     $JACOBITREES_CACHE_DIR; with neither set, no cache."""
@@ -201,7 +230,11 @@ def cmd_enum(args: argparse.Namespace) -> int:
     stream = enumerate_trees(n)
     count = tree_count(n)
     if args.format == "json":
-        print(json.dumps({"n": n, "count": count, "trees": [t.serialize() for t in stream]}))
+        # the bytes of json.dumps({"n", "count", "trees"}), written tree by tree
+        print(f'{{"n": {n}, "count": {count}, "trees": [', end="")
+        for i, t in enumerate(stream):
+            print(", " if i else "", json.dumps(t.serialize()), sep="", end="")
+        print("]}")
         return 0
     if args.format == "csv":
         print("index,tree")
@@ -378,9 +411,10 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     if truncate < n:
         raise UsageError(f"truncation {truncate} below tree degree {n}")
     # the desk-scale cap on the truncation also caps the degree
-    desk_cap = max(METHOD_CAPS.values())
-    if truncate > desk_cap:
-        raise ResourceAbort(f"truncation {truncate} is beyond desk scale (cap {desk_cap})")
+    if truncate > ENUMERATION_CAP:
+        raise ResourceAbort(
+            f"truncation {truncate} is beyond desk scale (cap {ENUMERATION_CAP})"
+        )
     word = magnus.tree_to_word(t)
     alphabet = [magnus.generator_name(i) for i in range(1, n + 1)]
     poly = magnus.magnus_expand(word, truncate, alphabet)

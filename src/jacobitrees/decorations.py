@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .lie import to_lyndon_coordinates
 from .trees import DecoratedTree, Tree, TreeVector
-from .words import _GEN_RE, Word, parse_word
+from .words import _GEN_RE, Word
 
 
 class DecorationError(ValueError):
@@ -33,13 +33,6 @@ class GroupSpec:
         for g in self.generators:
             if not _GEN_RE.match(g):
                 raise DecorationError(f"bad generator name {g!r}")
-
-    def word(self, text: str) -> Word:
-        w = parse_word(text)
-        unknown = w.generators() - set(self.generators)
-        if unknown:
-            raise DecorationError(f"unknown generators {sorted(unknown)}")
-        return w
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,13 +61,6 @@ class SnfResult:
     @property
     def torsion(self) -> list[int]:
         return [d for d in self.invariant_factors if d > 1]
-
-    def cokernel_text(self) -> str:
-        parts = []
-        if self.free_rank:
-            parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> dict:
         return {
@@ -154,9 +143,6 @@ class IntLattice:
                 if q:
                     vec = _row_sub(vec, row, q)
         return vec
-
-    def contains(self, vec: Row) -> bool:
-        return not self.reduce(vec)
 
     def basis_rows(self) -> list[Row]:
         return [dict(self.pivot_rows[j]) for j in sorted(self.pivot_rows)]
@@ -495,35 +481,3 @@ def rank_modp_rows_dense(
         flush(entries, m)
     return {ech.p: ech.rank for ech in echelons}
 
-
-# ---------------------------------------------------------------------------
-# result cache
-
-
-def cache_key(**kwargs) -> str:
-    blob = json.dumps(kwargs, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def cache_load(cache_dir: str, key: str) -> SnfResult | None:
-    """The cached result, or None for a missing, unreadable or invalid entry."""
-    path = os.path.join(cache_dir, f"{key}.json")
-    try:
-        with open(path) as fh:
-            return SnfResult.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def cache_store(cache_dir: str, key: str, result: SnfResult) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.json")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(result.to_json_obj(), fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

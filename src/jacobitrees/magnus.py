@@ -4,8 +4,8 @@ tree_to_word realises a tree as an iterated commutator in the free group on
 x1..xn; magnus_expand substitutes xi -> 1 + Xi (inverses via the truncated
 geometric series) into the tensor algebra.  The degree-n part of the
 expansion of a degree-n tree word must coincide with the commutator
-expansion of the tree, with all intermediate degrees vanishing; leading_term
-computes both sides.
+expansion of the tree, with all intermediate degrees vanishing;
+magnus_agreement checks both.
 """
 
 from __future__ import annotations
@@ -66,24 +66,8 @@ def magnus_expand(
     return acc
 
 
-def leading_term(t: Tree, via: str = "word") -> NcPoly:
-    """Degree-n part of the Magnus expansion of the tree word, or expand(t).
-
-    via="word": expand tree_to_word(t) to degree n and take the top part;
-    via="lie": the commutator expansion.  The two must agree.
-    """
-    n = t.degree
-    if via == "lie":
-        return expand(t)
-    if via != "word":
-        raise MagnusError(f"via must be 'word' or 'lie', got {via!r}")
-    alphabet = [generator_name(i) for i in range(1, n + 1)]
-    full = magnus_expand(tree_to_word(t), n, alphabet)
-    return full.homogeneous_part(n)
-
-
 def magnus_agreement(t: Tree) -> bool:
-    """True iff both leading_term routes agree and lower degrees vanish."""
+    """True iff the word's degree-n part is expand(t) and lower degrees vanish."""
     n = t.degree
     alphabet = [generator_name(i) for i in range(1, n + 1)]
     full = magnus_expand(tree_to_word(t), n, alphabet)

@@ -29,18 +29,10 @@ n = 1..6, and 8 for n = 7 odd) pin this transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import braidlie
 from .trees import Tree, TreeVector, enumerate_trees
-
-
-class RelationKind(str, Enum):
-    AS = "as"
-    IHX = "ihx"
-    STU2_ODD = "stu2_odd"
-    STU2_EVEN = "stu2_even"
 
 
 @dataclass
@@ -48,15 +40,10 @@ class RelationSet:
     """A re-iterable family of homogeneous relation vectors."""
 
     degree: int
-    kind: RelationKind
     producer: Callable[[], Iterator[TreeVector]]
 
     def vectors(self) -> Iterator[TreeVector]:
         return self.producer()
-
-    def dump(self) -> Iterator[str]:
-        for v in self.vectors():
-            yield v.serialize()
 
 
 def rewrites(t: Tree, rule: Callable) -> Iterator[tuple[Tree, ...]]:
@@ -105,7 +92,7 @@ def as_relations(n: int) -> RelationSet:
             for (s,) in rewrites(t, swap_rule):
                 yield TreeVector.from_dict({t: 1, s: 1})
 
-    return RelationSet(degree=n, kind=RelationKind.AS, producer=produce)
+    return RelationSet(degree=n, producer=produce)
 
 
 def ihx_relations(n: int) -> RelationSet:
@@ -119,7 +106,7 @@ def ihx_relations(n: int) -> RelationSet:
             for t1, t2 in rewrites(t, jacobi_rule):
                 yield TreeVector.from_dict({t: 1, t1: -1, t2: -1})
 
-    return RelationSet(degree=n, kind=RelationKind.IHX, producer=produce)
+    return RelationSet(degree=n, producer=produce)
 
 
 _PARITY_MODELS = {
@@ -139,7 +126,6 @@ def stu2_relations(n: int, parity: str) -> RelationSet:
     if parity not in _PARITY_MODELS:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     model = _PARITY_MODELS[parity]
-    kind = RelationKind.STU2_ODD if parity == "odd" else RelationKind.STU2_EVEN
 
     def produce() -> Iterator[TreeVector]:
         for w in braidlie.source_words(n):
@@ -147,29 +133,10 @@ def stu2_relations(n: int, parity: str) -> RelationSet:
             if not v.is_zero:
                 yield v
 
-    return RelationSet(degree=n, kind=kind, producer=produce)
+    return RelationSet(degree=n, producer=produce)
 
 
 def relation_union(sets: Iterable[RelationSet]) -> Iterator[TreeVector]:
     for rs in sets:
         yield from rs.vectors()
 
-
-def build_relation_sets(
-    n: int, kinds: Sequence[str], parity: str | None = None
-) -> list[RelationSet]:
-    """Resolve textual kind names ("as", "ihx", "stu2") into RelationSets."""
-    out = []
-    for kind in kinds:
-        kind = kind.strip().lower()
-        if kind == "as":
-            out.append(as_relations(n))
-        elif kind == "ihx":
-            out.append(ihx_relations(n))
-        elif kind == "stu2":
-            if parity is None:
-                raise ValueError("stu2 relations need a parity")
-            out.append(stu2_relations(n, parity))
-        else:
-            raise ValueError(f"unknown relation kind {kind!r}")
-    return out

@@ -21,7 +21,6 @@ all read it.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,9 +28,10 @@ from typing import Iterator, Mapping, Union
 
 from .words import Word, parse_word
 
-#: Largest degree enumerate_trees will serve.  |Tree(8)| = 17 297 280 already
-#: calls for streaming consumers; single-digit labels also keep the
-#: lexicographic order on serialisations unambiguous.
+#: Largest degree enumerate_trees will serve, and the desk cap of every CLI
+#: command.  |Tree(8)| = 17 297 280 already calls for streaming consumers;
+#: single-digit labels also keep the lexicographic order on serialisations
+#: unambiguous.
 ENUMERATION_CAP = 8
 
 
@@ -108,11 +108,6 @@ class Tree:
     def __str__(self) -> str:
         return self._key
 
-    def to_json_obj(self):
-        if self.is_leaf:
-            return {"leaf": self.label}
-        return {"node": [self.left.to_json_obj(), self.right.to_json_obj()]}
-
 
 #: The one leaf object of each label; leaf labels in use are few.
 _LEAVES: dict[int, Tree] = {}
@@ -168,16 +163,6 @@ class DecoratedTree:
     def __str__(self) -> str:
         return self.serialize()
 
-    def to_json_obj(self):
-        deco = self.decoration_map()
-
-        def go(node: Tree):
-            if node.is_leaf:
-                return {"leaf": node.label, "dec": str(deco[node.label])}
-            return {"node": [go(node.left), go(node.right)]}
-
-        return go(self.tree)
-
 
 def decorate(tree: Tree, decorations: Mapping[int, Word]) -> DecoratedTree:
     items = tuple(sorted((int(k), w) for k, w in decorations.items()))
@@ -229,8 +214,9 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
 @lru_cache(maxsize=8)
 def tree_list(n: int) -> tuple[Tree, ...]:
-    """Materialised Tree(n) in canonical order; cached for reuse as a basis."""
-    if n > 7:
+    """Materialised Tree(n) in canonical order; cached for reuse as a basis.
+    Tree(ENUMERATION_CAP) is only ever streamed."""
+    if n >= ENUMERATION_CAP:
         raise TreeError(f"refusing to materialise Tree({n}); stream instead")
     return tuple(enumerate_trees(n))
 
@@ -332,10 +318,6 @@ def parse_tree(text: str) -> AnyTree:
     return decorate(tree, full)
 
 
-def to_json(t: AnyTree) -> str:
-    return json.dumps(t.to_json_obj(), separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # integer linear combinations of trees
 
@@ -345,7 +327,7 @@ class TreeVector:
     """Formal Z-linear combination of trees of one common degree.
 
     All terms are Tree or all are DecoratedTree; zero coefficients are never
-    stored.  Instances are immutable; arithmetic returns new vectors.
+    stored.  Instances are immutable.
     """
 
     terms: tuple[tuple[AnyTree, int], ...]
@@ -374,38 +356,9 @@ class TreeVector:
     def single(t: AnyTree, coeff: int = 1) -> "TreeVector":
         return TreeVector.from_dict({t: coeff})
 
-    def as_dict(self) -> dict[AnyTree, int]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "TreeVector") -> "TreeVector":
-        if other.degree != self.degree or other.decorated != self.decorated:
-            raise TreeError("cannot add vectors of different degree or mode")
-        d = self.as_dict()
-        for t, c in other.terms:
-            d[t] = d.get(t, 0) + c
-        d = {t: c for t, c in d.items() if c != 0}
-        if not d:
-            return TreeVector.zero(self.degree, self.decorated)
-        return TreeVector.from_dict(d)
-
-    def __neg__(self) -> "TreeVector":
-        return self.scale(-1)
-
-    def __sub__(self, other: "TreeVector") -> "TreeVector":
-        return self + (-other)
-
-    def scale(self, c: int) -> "TreeVector":
-        if c == 0:
-            return TreeVector.zero(self.degree, self.decorated)
-        return TreeVector(
-            terms=tuple((t, c * k) for t, k in self.terms),
-            degree=self.degree,
-            decorated=self.decorated,
-        )
 
     def serialize(self) -> str:
         if self.is_zero:

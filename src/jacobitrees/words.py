@@ -54,14 +54,6 @@ class Word:
         sign = 1 if exponent > 0 else -1
         return Word(tuple((name, sign) for _ in range(abs(exponent))))
 
-    @staticmethod
-    def from_letters(letters: Iterable[tuple[str, int]]) -> "Word":
-        return Word(_reduce(letters))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(_reduce(self.letters + other.letters))
 
@@ -73,9 +65,6 @@ class Word:
 
     def generators(self) -> set[str]:
         return {g for g, _ in self.letters}
-
-    def exponent_sum(self, name: str) -> int:
-        return sum(e for g, e in self.letters if g == name)
 
     def __str__(self) -> str:
         if not self.letters:

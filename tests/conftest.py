@@ -81,7 +81,7 @@ def decorate_relations(
                     {decorate(t, mapping): c for t, c in v.terms}
                 )
 
-    return RelationSet(degree=n, kind=rs.kind, producer=produce)
+    return RelationSet(degree=n, producer=produce)
 
 
 def is_zero_decorated(v: DecoratedVector) -> bool:

@@ -32,7 +32,7 @@ from jacobitrees.trees import (
     tree_count,
     tree_list,
 )
-from jacobitrees.words import Word
+from jacobitrees.words import parse_word
 
 from conftest import brute_force_trees, decorated_rank
 
@@ -248,11 +248,11 @@ def test_criterion_9_decorated_tensor_law(rng):
             tuples = []
             while len(tuples) < k:
                 tup = tuple(
-                    Word.from_letters(
-                        [
-                            (rng.choice("ab"), rng.choice((1, -1)))
+                    parse_word(
+                        " ".join(
+                            f"{rng.choice('ab')}^{rng.choice((1, -1))}"
                             for _ in range(rng.randint(0, 4))
-                        ]
+                        )
                     )
                     for _ in range(n)
                 )

@@ -153,7 +153,7 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
             if v.is_zero:
                 continue
             row = {index[k]: c for k, c in straighten_vector(v).items()}
-            assert lat.contains(row)
+            assert not lat.reduce(row)
 
 
 # ---------------------------------------------------------------------------
@@ -252,4 +252,4 @@ def test_doubling_image_matches_brute_force(rng):
             for bracket, t in cases:
                 got = braidlie.bracket_doubling_image(bracket, t, n, model)
                 want = brute_force_doubling_image(bracket, t, n, model, calc)
-                assert got.as_dict() == want.as_dict(), (model, n, bracket)
+                assert got.terms == want.terms, (model, n, bracket)

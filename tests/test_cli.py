@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jacobitrees import cli, intlinalg
 from jacobitrees.cli import main
+from jacobitrees.trees import enumerate_trees, tree_count
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,27 @@ def test_enum_degree1(capsys):
     code, out, _ = run_cli(capsys, "enum", "--n", "1")
     assert code == 0
     assert out.splitlines()[0] == "1"
+
+
+def test_enum_json_is_one_dump_written_tree_by_tree(capsys, monkeypatch):
+    for n in range(1, 6):
+        code, out, _ = run_cli(capsys, "enum", "--n", str(n), "--format", "json")
+        trees = [t.serialize() for t in enumerate_trees(n)]
+        assert code == 0
+        assert out == json.dumps({"n": n, "count": tree_count(n), "trees": trees}) + "\n"
+    # each tree is on stdout before the next one is made
+    parts = []
+
+    def stream(n):
+        for t in enumerate_trees(n):
+            yield t
+            parts.append(capsys.readouterr().out)
+            assert parts[-1].endswith(json.dumps(t.serialize()))
+
+    monkeypatch.setattr(cli, "enumerate_trees", stream)
+    code, out, _ = run_cli(capsys, "enum", "--n", "3", "--format", "json")
+    trees = [t.serialize() for t in enumerate_trees(3)]
+    assert "".join(parts) + out == json.dumps({"n": 3, "count": 12, "trees": trees}) + "\n"
 
 
 def test_enum_zero_is_usage_error(capsys):

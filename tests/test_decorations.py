@@ -25,9 +25,8 @@ def test_group_spec_validation():
     for bad in ("1bad", "é", "a-b"):
         with pytest.raises(DecorationError):
             GroupSpec((bad,))
-    assert G2.word("a b^-1").letters == (("a", 1), ("b", -1))
-    with pytest.raises(DecorationError):
-        G2.word("c")
+    v = TreeVector.single(parse_tree("[1{a b^-1},2]"))
+    assert DecoratedVector(vector=v, group=G2).group == G2
 
 
 def test_decorated_vector_checks_group():
@@ -41,7 +40,7 @@ def test_degree1_two_distinct_chords():
     h = parse_word("b")
     chord_g = decorate(leaf(1), {1: g})
     chord_h = decorate(leaf(1), {1: h})
-    v = TreeVector.single(chord_g) + TreeVector.single(chord_h, -1)
+    v = TreeVector.from_dict({chord_g: 1, chord_h: -1})
     dv = DecoratedVector(vector=v, group=G2)
     blocks = decorated_normal_form(dv)
     assert blocks[(g,)] == [1]
@@ -54,7 +53,7 @@ def test_degree2_as_pair_cancels():
     t = decorate(parse_tree("[1,2]"), {1: g1, 2: g2})
     # swapping the tree relabels leaves, so the same tuple decorates both
     t_swapped = decorate(parse_tree("[2,1]"), {1: g1, 2: g2})
-    v = TreeVector.single(t) + TreeVector.single(t_swapped)
+    v = TreeVector.from_dict({t: 1, t_swapped: 1})
     dv = DecoratedVector(vector=v, group=G2)
     assert is_zero_decorated(dv)
 
@@ -97,11 +96,11 @@ def test_tensor_law_random_tuples(rng):
             tuples = []
             while len(tuples) < k:
                 tup = tuple(
-                    Word.from_letters(
-                        [
-                            (rng.choice("ab"), rng.choice((1, -1)))
+                    parse_word(
+                        " ".join(
+                            f"{rng.choice('ab')}^{rng.choice((1, -1))}"
                             for _ in range(rng.randint(0, 3))
-                        ]
+                        )
                     )
                     for _ in range(n)
                 )

@@ -17,7 +17,13 @@ from jacobitrees.lie import (
     to_lyndon_coordinates,
 )
 from jacobitrees.relations import as_relations, ihx_relations
-from jacobitrees.trees import TreeVector, enumerate_trees, parse_tree, tree_list
+from jacobitrees.trees import (
+    TreeVector,
+    enumerate_trees,
+    parse_tree,
+    parse_tree_vector,
+    tree_list,
+)
 
 from conftest import random_tree
 
@@ -157,7 +163,7 @@ def test_straighten_vector_linear(rng):
     n = 4
     t1 = random_tree(rng, [1, 2, 3, 4])
     t2 = random_tree(rng, [1, 2, 3, 4])
-    v = TreeVector.single(t1, 2) + TreeVector.single(t2, -3)
+    v = parse_tree_vector(f"2*{t1} -3*{t2}")
     if v.is_zero:
         return
     s = straighten_vector(v)
@@ -199,7 +205,7 @@ def test_coordinates_additive(seed):
     t2 = random_tree(rng, list(range(1, n + 1)))
     c1 = to_lyndon_coordinates(t1, n)
     c2 = to_lyndon_coordinates(t2, n)
-    v = TreeVector.single(t1) + TreeVector.single(t2)
+    v = parse_tree_vector(f"{t1} {t2}")
     if v.is_zero:
         return
     assert to_lyndon_coordinates(v, n) == [a + b for a, b in zip(c1, c2)]
