@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import marshal
 import math
 import os
 import pathlib
@@ -19,7 +20,7 @@ import sys
 import tempfile
 import time
 
-from . import intlinalg, magnus, relations
+from . import braidlie, intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
 from .words import WordError
 from .intlinalg import IntLattice, SnfResult, snf_from_rows
@@ -89,13 +90,22 @@ def certification(method: str) -> str:
     return "probabilistic over Q" if method == "modular" else "exact over Z"
 
 
+#: Families from this degree up (300 source words at 6, 2160 at 7) split
+#: their source words with one forked child.  At 5 and below (at most 48
+#: words, ~20 ms) a fork costs more than the half it saves.
+SPLIT_DEGREE = 6
+
+
 def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
     """The relations kinds as sparse rows on the (n-1)! Lyndon coordinates.
 
     Z[Tree(n)] / (AS, IHX) is free on the Lyndon brackets, so AS and IHX
     give no rows.  Each stu2 vector is straightened, a route whose agreement
     with the expansion route is a tested invariant; each distinct tree once
-    per call, through a memo that lives as long as the returned generator.
+    per process, through a memo that lives as long as the returned generator.
+    From SPLIT_DEGREE on, with two CPUs, a forked child makes the rows of
+    the second half of the source words while this process yields those of
+    the first; the child's rows follow, in the same order as unsplit.
     Kinds without as,ihx are refused on the call, not on the first row.
     """
     if not lie_quotient(kinds):
@@ -105,16 +115,84 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
         )
     if "stu2" not in kinds:
         return iter(())
+    index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
 
-    def rows():
-        index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
+    def rows(words):
         memo = {}
-        for v in relations.stu2_relations(n, parity).vectors():
+        # words passed positionally: perfbench's wrapper takes no keywords
+        for v in relations.stu2_relations(n, parity, words).vectors():
             row = {index[k]: c for k, c in straighten_vector(v, memo).items()}
             if row:
                 yield row
 
-    return rows()
+    def split_rows():
+        words = braidlie.source_words(n)
+        half = len(words) // 2
+        child = _fork_rows(rows(words[half:])) if n >= SPLIT_DEGREE else None
+        if child is None:
+            yield from rows(words)
+            return
+        pid, reader = child
+        try:
+            yield from rows(words[:half])
+            try:  # the rows, or the child's error text
+                payload = marshal.loads(reader.read())
+            except (EOFError, ValueError, TypeError):
+                payload = "nothing sent"
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if code or not isinstance(payload, list):
+                raise ResourceAbort(
+                    f"the child making the second half of the degree-{n} stu2 "
+                    f"rows failed with exit code {code}: {payload}"
+                )
+            yield from payload
+        finally:
+            reader.close()
+            if pid is not None:  # the consumer stopped early or raised
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    return split_rows()
+
+
+def _fork_rows(rows):
+    """Starts a child that makes the list of rows and writes it to a pipe
+    once, by marshal; its pid and the read end of the pipe.  None when
+    there is no second CPU or no fork: the caller then makes the rows."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or not hasattr(os, "fork"):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # the child ends in os._exit, so it runs none of the parent's
+        # cleanup and never flushes the stdout buffer it inherited; it runs
+        # only Python code, never numpy, whose threads fork does not copy
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload, ok = list(rows), True
+            except Exception as exc:
+                payload, ok = repr(exc), False
+            with open(write_fd, "wb") as fh:
+                marshal.dump(payload, fh)
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def compute_quotient(

@@ -113,7 +113,9 @@ class IntLattice:
                 vec = _row_sub(vec, row, q)
             else:
                 x, y, g = _xgcd(a, b)
-                new_row = _row_comb(row, x, vec, y)
+                # a negative gcd would leave remainders in (g, 0] on reduce
+                s = -1 if g < 0 else 1
+                new_row = _row_comb(row, s * x, vec, s * y)
                 new_vec = _row_comb(row, -(b // g), vec, a // g)
                 self.pivot_rows[j] = new_row
                 vec = new_vec

@@ -29,7 +29,7 @@ n = 1..6, and 8 for n = 7 odd) pin this transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import braidlie
 from .trees import Tree, TreeVector, enumerate_trees
@@ -115,20 +115,22 @@ _PARITY_MODELS = {
 }
 
 
-def stu2_relations(n: int, parity: str) -> RelationSet:
+def stu2_relations(
+    n: int, parity: str, words: Sequence[tuple[int, ...]] | None = None
+) -> RelationSet:
     """The quadratic relation family for the requested dimension parity.
 
-    Empty for n <= 2.  One vector per source word (see braidlie); vectors
-    are emitted in rewritten tree-basis form, so term counts vary with the
-    embedding even though each instance arises from two two-way vertex
-    resolutions.
+    Empty for n <= 2.  One vector per source word (see braidlie), of all of
+    them or of the given words, in their order; vectors are emitted in
+    rewritten tree-basis form, so term counts vary with the embedding even
+    though each instance arises from two two-way vertex resolutions.
     """
     if parity not in _PARITY_MODELS:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     model = _PARITY_MODELS[parity]
 
     def produce() -> Iterator[TreeVector]:
-        for w in braidlie.source_words(n):
+        for w in braidlie.source_words(n) if words is None else words:
             v = braidlie.doubling_image(w, n, model)
             if not v.is_zero:
                 yield v

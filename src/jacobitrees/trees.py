@@ -373,9 +373,23 @@ class TreeVector:
         return self.serialize()
 
 
+def _terms(text: str) -> list[str]:
+    """The whitespace-separated terms of text; whitespace inside [] or {},
+    as between the letters of a decoration word, stays in its term."""
+    terms: list[str] = []
+    depth = 0
+    for piece in text.split():
+        if depth > 0:
+            terms[-1] += " " + piece
+        else:
+            terms.append(piece)
+        depth += piece.count("[") + piece.count("{") - piece.count("]") - piece.count("}")
+    return terms
+
+
 def parse_tree_vector(text: str) -> TreeVector:
     """Parse "±c*TREE ±c*TREE ..." (also accepts bare TREE terms, coeff 1)."""
-    tokens = text.split()
+    tokens = _terms(text)
     if not tokens:
         raise TreeError("empty tree vector text")
     acc: dict[AnyTree, int] = {}

@@ -143,7 +143,7 @@ def test_criterion_3_jacobi_tables_odd():
 
 @pytest.mark.skipif(
     not os.environ.get("JACOBITREES_ACCEPT_N8"),
-    reason="optional n=8 check takes ~1.5 minutes; set JACOBITREES_ACCEPT_N8=1",
+    reason="optional n=8 check takes ~30 s; set JACOBITREES_ACCEPT_N8=1",
 )
 def test_criterion_3_optional_degree8():
     cols = math.factorial(7)

@@ -1,11 +1,13 @@
 import collections
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env():
+    """The environment of a jacobitrees subprocess: this checkout, no cache."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def test_enum_count_first(capsys):
@@ -171,12 +181,184 @@ def test_lyndon_rows_refuses_kinds_without_as_ihx_on_the_call():
     ],
 )
 def test_lyndon_rows_pinned(parity, digest):
-    # every row of n = 3..7, in stream order with its items sorted
-    h = hashlib.sha256()
+    # every row of n = 3..7, in stream order with its items sorted, and
+    # again with its items in the row's own order: reduce prints its stu2
+    # residue in insertion order, which follows the rows' key order
+    h, ordered = hashlib.sha256(), hashlib.sha256()
     for n in range(3, 8):
         for row in cli.lyndon_rows(n, ("as", "ihx", "stu2"), parity):
             h.update((repr(sorted(row.items())) + "\n").encode())
+            ordered.update((repr(list(row.items())) + "\n").encode())
     assert h.hexdigest() == digest
+    assert ordered.hexdigest() == ROWS_IN_KEY_ORDER[parity]
+
+
+ROWS_IN_KEY_ORDER = {
+    "odd": "38d1226b287083b0b64c5560948bb953317499589e4b2496f87ef936acf857c3",
+    "even": "d0c4e581a11157aa3f7983b988eaac03276903f860ae8ef4f236f4ea2be0bbbb",
+}
+STU2 = ("as", "ihx", "stu2")
+
+
+def rows_digest(n, parity):
+    h = hashlib.sha256()
+    for row in cli.lyndon_rows(n, STU2, parity):
+        h.update((repr(list(row.items())) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked in the test, on a host taken to have
+    two CPUs."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_only_families_from_degree_6_fork(forks):
+    assert list(cli.lyndon_rows(5, STU2, "odd"))
+    assert not forks
+    assert len(list(cli.lyndon_rows(6, STU2, "odd"))) == 300
+    [pid] = forks
+    assert_reaped(pid)
+
+
+def test_child_is_reaped_when_the_consumer_stops_early(forks):
+    rows = cli.lyndon_rows(6, STU2, "odd")
+    assert next(rows)
+    [pid] = forks
+    rows.close()
+    assert_reaped(pid)
+
+
+def test_child_is_reaped_when_the_consumer_raises(forks):
+    def consume():
+        for _ in cli.lyndon_rows(6, STU2, "even"):
+            raise RuntimeError("the consumer fails")
+
+    with pytest.raises(RuntimeError):
+        consume()
+    [pid] = forks
+    assert_reaped(pid)
+
+
+def test_child_is_reaped_when_the_command_aborts(capsys, forks, monkeypatch):
+    def one_row_then_abort(rows, cols):
+        next(iter(rows))
+        raise intlinalg.LinalgError("stop after one row")
+
+    monkeypatch.setattr(intlinalg, "rank_modp_rows_dense", one_row_then_abort)
+    code, out, err = run_cli(
+        capsys, "rank", "--n", "6", "--relations", "as,ihx,stu2", "--parity", "odd",
+        "--method", "modular",
+    )
+    assert code == 3 and not out and "stop after one row" in err
+    [pid] = forks
+    assert_reaped(pid)
+
+
+@pytest.mark.parametrize("failure", ["raises", "is killed"])
+def test_a_failed_child_aborts_the_command(capsys, forks, monkeypatch, failure):
+    parent = os.getpid()
+    straighten = cli.straighten_vector
+
+    def fail_in_child(v, memo):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("straightening failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return straighten(v, memo)
+
+    monkeypatch.setattr(cli, "straighten_vector", fail_in_child)
+    code, out, err = run_cli(
+        capsys, "rank", "--n", "6", "--relations", "as,ihx,stu2", "--parity", "odd",
+        "--method", "modular", "--format", "csv",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource abort: ") and err.count("\n") == 1
+    if failure == "raises":
+        assert "straightening failed" in err
+    [pid] = forks
+    assert_reaped(pid)
+
+
+def test_split_commands_print_once_on_a_pipe():
+    # the child inherits the block-buffered stdout and must never flush it
+    env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+    run = functools.partial(
+        subprocess.run, env=env, capture_output=True, text=True, check=True
+    )
+    rank = run([sys.executable, "-m", "jacobitrees", "rank", "--n", "6", "--relations",
+                "as,ihx,stu2", "--parity", "odd", "--method", "modular", "--format", "csv"])
+    assert rank.stdout == (
+        "n,rank,torsion,method,certification\n6,5,unknown,modular,probabilistic over Q\n"
+    )
+    # reduce has printed its coordinates when the rows start
+    reduce = run([sys.executable, "-m", "jacobitrees", "reduce", "--expr",
+                  "[[[[[1,2],3],4],5],6]", "--relations", "as,ihx,stu2", "--parity", "even"])
+    lines = reduce.stdout.splitlines()
+    assert [ln.split(":")[0].split(",")[0] for ln in lines] == [
+        "lyndon coordinates", "normal form", "NONZERO in Lie(6)", "NONZERO in A^T",
+    ]
+    assert lines[-1] == "NONZERO in A^T,even_6: residue {0: 1}"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_one_cpu_and_a_failing_fork_give_the_same_rows(forks, monkeypatch):
+    split = rows_digest(6, "odd")
+    assert len(forks) == 1
+    # a process on one CPU makes every row itself: fork is never called
+    cpu = min(os.sched_getaffinity(0))
+    code = (
+        "import hashlib, os\n"
+        "from jacobitrees import cli\n"
+        "def no_fork():\n"
+        "    raise AssertionError('forked on one CPU')\n"
+        "os.fork = no_fork\n"
+        "h = hashlib.sha256()\n"
+        "for row in cli.lyndon_rows(6, ('as', 'ihx', 'stu2'), 'odd'):\n"
+        "    h.update((repr(list(row.items())) + '\\n').encode())\n"
+        "print(len(os.sched_getaffinity(0)), h.hexdigest())\n"
+    )
+    one_cpu = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
+        check=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert one_cpu.stdout == f"1 {split}\n"
+
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert rows_digest(6, "odd") == split
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # each would add its import time to every command's start-up
+    code = (
+        "import sys, jacobitrees.cli\n"
+        "print(sorted({'numpy', 'pickle', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_lyndon_rows_straighten_each_distinct_tree_once_per_call(monkeypatch):
@@ -472,6 +654,12 @@ def test_reduce_decorated_nonzero_blocks(capsys):
     assert "NONZERO in Lie_G(2)" in out
 
 
+def test_reduce_multi_letter_decoration(capsys):
+    code, out, err = run_cli(capsys, "reduce", "--expr", "1*[1{a b},2]", "--group", "a,b")
+    assert code == 0, err
+    assert out == "tuple (a b, 1): coordinates [1]\nNONZERO in Lie_G(2)\n"
+
+
 def test_reduce_group_names_follow_the_word_grammar(capsys):
     # a name parse_word refuses, or a repeated name, is a usage error
     # whether or not the input is decorated
@@ -577,9 +765,7 @@ def test_verify_max_n_beyond_its_cap_aborts_before_any_work(capsys, monkeypatch)
 
 def test_outputs_do_not_depend_on_the_hash_seed():
     # tree hashes are str hashes, which PYTHONHASHSEED salts
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = cli_env()
     stu2 = ("reduce", "--expr", "1*[[[[1,2],3],4],5] 2*[[1,[2,5]],[3,4]]",
             "--relations", "as,ihx,stu2", "--parity", "odd")
     for argv in (("table", "--max-n", "5", "--format", "csv"), stu2):
@@ -596,12 +782,9 @@ def test_outputs_do_not_depend_on_the_hash_seed():
 
 def test_stu2_audit_script_runs():
     root = pathlib.Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
-    src = str(root / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "stu2_audit.py"), "--max-n", "4"],
-        env=env, capture_output=True, text=True,
+        env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     quotients = [ln.strip() for ln in proc.stdout.splitlines() if "quotient:" in ln]

@@ -311,6 +311,28 @@ def normal_form(v, relations, basis):
     return TreeVector.from_dict({basis[j]: c for j, c in reduced.items()})
 
 
+def test_residue_does_not_depend_on_insertion_order():
+    # xgcd of the pivot 4 with -6 gives -2; a negative pivot left the
+    # remainder of 1 at -1 in one order and at 1 in the other
+    residues = []
+    for rows in ([{0: 4, 1: 1}, {0: -6}], [{0: -6}, {0: 4, 1: 1}]):
+        lat = IntLattice(2)
+        lat.add_many(rows)
+        lat.normalize()
+        residues.append(lat.reduce({0: 1}))
+    assert residues == [{0: 1}, {0: 1}]
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(-9, 9)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_pivots_stay_positive(rows):
+    lat = IntLattice(4)
+    for row in rows:
+        lat.add(row)
+        assert all(r[j] > 0 for j, r in lat.pivot_rows.items())
+        assert all(min(r) == j for j, r in lat.pivot_rows.items())
+
+
 def test_normal_form_lattice_member():
     basis = tree_list(2)
     rels = list(as_relations(2).vectors())

@@ -186,6 +186,29 @@ def test_parse_tree_vector():
     assert v3.is_zero
 
 
+_letters = st.tuples(st.sampled_from(("a", "b", "x1")), st.sampled_from(("", "^-1", "^2")))
+
+
+@given(st.data())
+def test_decorated_vector_serialisation_parses_back(data):
+    # multi-letter words print with spaces inside their braces
+    n = data.draw(st.integers(1, 4))
+    trees = data.draw(st.lists(st.sampled_from(tree_list(n)), min_size=1, max_size=4))
+    terms = {}
+    for t in trees:
+        words = data.draw(st.lists(st.lists(_letters, max_size=3), min_size=n, max_size=n))
+        deco = {k: parse_word(" ".join(g + e for g, e in w)) for k, w in zip(range(1, n + 1), words)}
+        terms[decorate(t, deco)] = data.draw(st.integers(-3, 3).filter(bool))
+    v = TreeVector.from_dict(terms)
+    assert parse_tree_vector(v.serialize()) == v
+
+
+def test_multi_letter_decoration_in_a_vector():
+    v = parse_tree_vector("1*[1{a b},2] -2*[2{b^-1 a},1]")
+    assert [str(t) for t, _ in v.terms] == ["[1{a b},2{}]", "[2{b^-1 a},1{}]"]
+    assert [c for _, c in v.terms] == [1, -2]
+
+
 # ---------------------------------------------------------------------------
 # invariants of the stored key: Tree(4) and random trees up to degree 7
 
