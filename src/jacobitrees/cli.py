@@ -1,4 +1,4 @@
-"""Command-line surface: enum, rank, table, reduce, magnus, verify.
+"""Command-line surface: enum, rank, table, reduce, magnus.
 
 Exit codes: 0 success, 2 usage error, 3 computation-resource abort.
 Text output may include wall time; CSV and JSON never do, so identical
@@ -15,7 +15,6 @@ import marshal
 import math
 import os
 import pathlib
-import random
 import sys
 import tempfile
 import time
@@ -43,11 +42,6 @@ RELATION_KINDS = ("as", "ihx", "stu2")
 #: at 7 coefficient swell keeps it from finishing; beyond the enumeration cap
 #: is out of desk scale for every method and every command.
 METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": ENUMERATION_CAP}
-
-#: The largest --max-n verify runs at.  It expands every tree of each
-#: degree: 6 takes over a minute, 7 would expand 665 280 trees and 8 would
-#: enumerate 17 297 280.
-VERIFY_CAP = 6
 
 
 class UsageError(Exception):
@@ -261,7 +255,7 @@ def cache_load(cache_dir: str, key: str) -> SnfResult | None:
     try:
         with open(path) as fh:
             return SnfResult.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 
 
@@ -517,59 +511,6 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Quick invariant suite; the full suite lives in tests/."""
-    from .lie import expand, straighten_vector
-    from .magnus import magnus_agreement
-
-    max_n = args.max_n
-    pick_method(max_n, "auto", ("as", "ihx"))  # the degree range every command accepts
-    if max_n > VERIFY_CAP:
-        raise ResourceAbort(f"verify --max-n {max_n} is beyond its cap {VERIFY_CAP}")
-    rng = random.Random(0)
-    failures = 0
-
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    for n in range(1, max_n + 1):
-        count = sum(1 for _ in enumerate_trees(n))
-        check(f"tree count n={n} is {tree_count(n)}", count == tree_count(n))
-    for n in range(2, max_n + 1):
-        ok = True
-        for rs in (relations.as_relations(n), relations.ihx_relations(n)):
-            for v in rs.vectors():
-                if not expand(v).is_zero:
-                    ok = False
-        check(f"AS/IHX expansion annihilation n={n}", ok)
-    for n in range(2, max_n + 1):
-        trees = tree_list(n)
-        sample = trees if len(trees) <= 24 else rng.sample(list(trees), 24)
-        ok = all(magnus_agreement(t) for t in sample)
-        check(f"magnus/lie leading-term agreement n={n}", ok)
-    for n in range(2, max_n + 1):
-        ok = True
-        for t in tree_list(n):
-            via_expand = to_lyndon_coordinates(t, n)
-            s = straighten_vector(TreeVector.single(t))
-            via_straighten = [s.get(w, 0) for w, _ in lyndon_basis(n)]
-            if via_expand != via_straighten:
-                ok = False
-                break
-        check(f"lyndon dual-route agreement n={n}", ok)
-    for n in range(2, min(max_n, 5) + 1):
-        res = compute_quotient(n, ("as", "ihx"), None, "snf")
-        check(
-            f"cokernel(AS+IHX) n={n} free of rank (n-1)!",
-            res.free_rank == math.factorial(n - 1) and not res.torsion,
-        )
-    print(f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -633,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", type=int, required=True)
     fmt(p, choices=("text", "json"))
 
-    p = sub.add_parser("verify", help="run the quick invariant suite")
-    p.add_argument("--max-n", type=int, default=4)
-
     return parser
 
 
@@ -645,7 +583,6 @@ COMMANDS = {
     "table": cmd_table,
     "reduce": cmd_reduce,
     "magnus": cmd_magnus,
-    "verify": cmd_verify,
 }
 
 

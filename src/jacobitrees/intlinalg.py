@@ -50,6 +50,10 @@ class SnfResult:
     def __post_init__(self):
         if self.rank != len(self.invariant_factors):
             raise LinalgError("rank must equal the number of invariant factors")
+        if self.rank > self.cols:
+            raise LinalgError("rank must not exceed the number of columns")
+        if not all(type(d) is int and d >= 1 for d in self.invariant_factors):
+            raise LinalgError("invariant factors must be integers >= 1")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a != 0:
                 raise LinalgError("invariant factors must form a divisibility chain")

@@ -300,7 +300,10 @@ def parse_tree(text: str) -> AnyTree:
     Leaves without braces in a decorated tree get the identity word.
     """
     p = _Parser(text)
-    tree, deco = p.parse_tree()
+    try:
+        tree, deco = p.parse_tree()
+    except RecursionError as exc:
+        raise ParseError("brackets nested too deeply", p.pos) from exc
     p.skip_ws()
     if p.pos != len(text):
         raise ParseError("trailing input", p.pos)
@@ -351,10 +354,6 @@ class TreeVector:
     @staticmethod
     def zero(degree: int, decorated: bool = False) -> "TreeVector":
         return TreeVector(terms=(), degree=degree, decorated=decorated)
-
-    @staticmethod
-    def single(t: AnyTree, coeff: int = 1) -> "TreeVector":
-        return TreeVector.from_dict({t: coeff})
 
     @property
     def is_zero(self) -> bool:

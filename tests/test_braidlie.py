@@ -43,7 +43,7 @@ def test_top_layer_vector_reads_multilinear_top_words():
         none = braidlie.top_layer_vector(dropped, 3, model)
         assert none.is_zero and none.degree == 3
         got = braidlie.top_layer_vector({**dropped, leaf_order_213: 5}, 3, model)
-        assert got == TreeVector.single(parse_tree("[[2,1],3]"), 5 * sign)
+        assert got == TreeVector.from_dict({parse_tree("[[2,1],3]"): 5 * sign})
 
 
 def _word_sign(w):

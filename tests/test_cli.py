@@ -536,6 +536,26 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     assert entry.read_text() == text  # recomputed and rewritten
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"invariant_factors": [0, 1], "rank": 2, "cols": 3}',
+        '{"invariant_factors": ["1"], "rank": 1, "cols": 3}',
+        "[" * 200_000,
+        '{"invariant_factors": [1], "rank": 1, "cols": 0}',
+    ],
+    ids=["zero factor", "string factor", "deep nesting", "rank above cols"],
+)
+def test_invalid_cache_entry_is_a_miss(tmp_path, capsys, entry):
+    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
+    run_cli(capsys, *args)
+    (path,) = tmp_path.glob("*.json")
+    path.write_text(entry)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and not err
+    assert out == "n,rank,torsion,method,certification\n3,2,none,snf,exact over Z\n"
+
+
 def test_cache_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch):
     computed = []
     compute = cli.compute_quotient
@@ -700,6 +720,20 @@ def test_reduce_parse_error(capsys):
     assert "position" in err
 
 
+def test_deeply_nested_input_is_a_usage_error(tmp_path, capsys):
+    deep = "[" * 3000
+    path = tmp_path / "deep.txt"
+    path.write_text(deep)
+    for argv in (
+        ("reduce", "--expr", deep),
+        ("reduce", str(path)),
+        ("magnus", "--tree", deep, "--truncate", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv[:2]
+        assert err.startswith("usage error:") and err.count("\n") == 1, argv[:2]
+
+
 def test_magnus_command(capsys):
     code, out, _ = run_cli(capsys, "magnus", "--tree", "[1,2]", "--truncate", "2")
     assert code == 0
@@ -730,37 +764,6 @@ def test_magnus_beyond_desk_scale_aborts_before_any_work(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and not out
         assert "truncation" in err and "desk scale" in err
-
-
-def test_verify_runs_clean(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "0 failure(s)" in out
-
-
-def test_verify_max_n_below_one_is_usage_error(capsys):
-    for max_n in ("0", "-2"):
-        code, out, err = run_cli(capsys, "verify", "--max-n", max_n)
-        assert code == 2 and not out
-        assert "--max-n" in err
-
-
-def test_verify_max_n_beyond_desk_scale_aborts(capsys):
-    code, out, err = run_cli(capsys, "verify", "--max-n", "9")
-    assert code == 3 and not out
-    assert "desk scale" in err
-
-
-def test_verify_max_n_beyond_its_cap_aborts_before_any_work(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError("verify enumerated trees beyond its cap")
-
-    monkeypatch.setattr(cli, "enumerate_trees", refuse)
-    for max_n in range(cli.VERIFY_CAP + 1, max(cli.METHOD_CAPS.values()) + 1):
-        code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n))
-        assert code == 3 and not out
-        assert f"cap {cli.VERIFY_CAP}" in err
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
@@ -808,9 +811,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys):
         ("magnus", "--tree", "[1,2]", "--truncate", "2", "--format", "csv"),
         ("magnus", "--tree", "[1,2]", "--truncate", "2", "--cache-dir", "x"),
         ("magnus", "--tree", "[1,2]", "--truncate", "2", "--seed", "1"),
-        ("verify", "--max-n", "1", "--format", "json"),
-        ("verify", "--max-n", "1", "--cache-dir", "x"),
-        ("verify", "--max-n", "1", "--seed", "0"),
+        ("verify", "--max-n", "1"),  # no such command
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and not out, argv
@@ -836,7 +837,6 @@ COMMAND_FLAGS = {
     "table": ("--max-n", "--method", "--format", "--cache-dir"),
     "reduce": ("--expr", "--relations", "--parity", "--group"),
     "magnus": ("--tree", "--truncate", "--format"),
-    "verify": ("--max-n",),
 }
 TEXT = st.one_of(
     st.sampled_from((

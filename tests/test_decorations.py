@@ -25,12 +25,12 @@ def test_group_spec_validation():
     for bad in ("1bad", "é", "a-b"):
         with pytest.raises(DecorationError):
             GroupSpec((bad,))
-    v = TreeVector.single(parse_tree("[1{a b^-1},2]"))
+    v = TreeVector.from_dict({parse_tree("[1{a b^-1},2]"): 1})
     assert DecoratedVector(vector=v, group=G2).group == G2
 
 
 def test_decorated_vector_checks_group():
-    v = TreeVector.single(parse_tree("[1{c},2]"))
+    v = TreeVector.from_dict({parse_tree("[1{c},2]"): 1})
     with pytest.raises(DecorationError):
         DecoratedVector(vector=v, group=G2)
 
@@ -61,7 +61,7 @@ def test_degree2_as_pair_cancels():
 def test_identity_decorations_match_undecorated():
     ident = Word.identity()
     tree = parse_tree("[[1,2],3]")
-    v = TreeVector.single(decorate(tree, {1: ident, 2: ident, 3: ident}))
+    v = TreeVector.from_dict({decorate(tree, {1: ident, 2: ident, 3: ident}): 1})
     dv = DecoratedVector(vector=v, group=G2)
     blocks = decorated_normal_form(dv)
     assert list(blocks.values()) == [to_lyndon_coordinates(tree, 3)]

@@ -164,7 +164,7 @@ def test_cokernel_empty_stream():
 
 def test_cokernel_unknown_basis_element():
     basis = tree_list(2)
-    bad = TreeVector.single(parse_tree("[[1,2],3]"))
+    bad = TreeVector.from_dict({parse_tree("[[1,2],3]"): 1})
     with pytest.raises(LinalgError):
         cokernel(iter([bad]), basis)
 
@@ -344,8 +344,8 @@ def test_normal_form_lattice_member():
 def test_normal_form_degree2_representatives():
     basis = tree_list(2)
     rels = list(as_relations(2).vectors())
-    a = TreeVector.single(parse_tree("[1,2]"))
-    b = TreeVector.single(parse_tree("[2,1]"))
+    a = TreeVector.from_dict({parse_tree("[1,2]"): 1})
+    b = TreeVector.from_dict({parse_tree("[2,1]"): 1})
     nfa = normal_form(a, iter(rels), basis)
     nfb = normal_form(b, iter(rels), basis)
     assert not nfa.is_zero
@@ -377,7 +377,7 @@ def test_normal_form_saturated_double():
     basis = tree_list(3)
     rels = list(relation_union([as_relations(3), ihx_relations(3)]))
     w, t = lyndon_basis(3)[0]
-    v = TreeVector.single(t, 2)
+    v = TreeVector.from_dict({t: 2})
     assert not normal_form(v, iter(rels), basis).is_zero
 
 

@@ -220,7 +220,7 @@ def test_ncpoly_truncation():
 
 
 def test_expand_rejects_decorated():
-    v = TreeVector.single(parse_tree("[1{a},2]"))
+    v = TreeVector.from_dict({parse_tree("[1{a},2]"): 1})
     with pytest.raises(LieError):
         expand(v)
 
