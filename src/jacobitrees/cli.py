@@ -38,9 +38,10 @@ from .trees import (
 CACHE_ENV = "JACOBITREES_CACHE_DIR"
 RELATION_KINDS = ("as", "ihx", "stu2")
 
-#: The largest degree each method may run at.  Exact SNF stops at 6 because
-#: at 7 coefficient swell keeps it from finishing; beyond the enumeration cap
-#: is out of desk scale for every method and every command.
+#: The largest degree each method may run at.  Exact SNF finishes at 7 too
+#: (snf_from_rows), but stops at 6 here: raising the cap would move
+#: `rank --n 7` off modular and change its output.  Beyond the enumeration
+#: cap is out of desk scale for every method and every command.
 METHOD_CAPS = {"snf": 6, "lyndon": 6, "modular": ENUMERATION_CAP}
 
 
@@ -283,7 +284,10 @@ def quotient_with_cache(cache_dir: str | None, n: int, kinds, parity, method) ->
         n=n, kinds=sorted(kinds), parity=parity, method=method, code=code_fingerprint()
     )
     result = cache_load(cache_dir, key)
-    if result is None:
+    # an entry of another presentation or certificate is a miss
+    cols = 1 if n == 1 else tree_count(n) if method == "snf" else math.factorial(n - 1)
+    modular = method == "modular" and n > 1
+    if result is None or (result.cols, result.probabilistic) != (cols, modular):
         result = compute_quotient(n, kinds, parity, method)
         try:
             cache_store(cache_dir, key, result)

@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over Z.
 
-The workhorse is IntLattice, an incremental row-Hermite-form accumulator
-(xgcd pivoting, arbitrary precision).  Smith normal form is computed by
-first accumulating the rows into a fully reduced Hermite basis: rows with
-unit pivots then split off structurally (their pivot columns carry no other
-entries), and only the small non-unit residue goes through generic
-minimum-pivot elimination.  Ranks too large for exact elimination are taken
-modulo two primes near 2^20 by rank_modp_rows_dense, a blocked engine that
-reduces a block of rows against the pivot rows with one float64 matmul;
-the products are exact integers while p^2 * cols < 2^53.  Everything is
-deterministic.
+The workhorse is snf_from_rows, sparse elimination on unit pivots: each
++-1 pivot splits off an invariant factor 1, and only the small residue of
+rows without one is diagonalised on pivots of least size.  IntLattice, an
+incremental row-Hermite-form accumulator (xgcd pivoting, arbitrary
+precision), gives the canonical residues of `reduce`.  Ranks too large for
+exact elimination are taken modulo two primes near 2^20 by
+rank_modp_rows_dense, a blocked engine that reduces a block of rows against
+the pivot rows with one float64 matmul; the products are exact integers
+while p^2 * cols < 2^53.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -150,9 +150,6 @@ class IntLattice:
                     vec = _row_sub(vec, row, q)
         return vec
 
-    def basis_rows(self) -> list[Row]:
-        return [dict(self.pivot_rows[j]) for j in sorted(self.pivot_rows)]
-
 
 def _row_sub(vec: Row, row: Row, q: int) -> Row:
     out = dict(vec)
@@ -179,69 +176,6 @@ def _row_comb(r1: Row, c1: int, r2: Row, c2: int) -> Row:
     return out
 
 
-def _generic_snf(rows: list[Row]) -> list[int]:
-    """Minimum-pivot integer diagonalisation; returns unsorted diagonal."""
-    mat: dict[int, Row] = {i: dict(r) for i, r in enumerate(rows) if r}
-    col_index: dict[int, set[int]] = {}
-    for i, r in mat.items():
-        for j in r:
-            col_index.setdefault(j, set()).add(i)
-
-    def set_entry(i: int, j: int, v: int):
-        row = mat[i]
-        if v:
-            if j not in row:
-                col_index.setdefault(j, set()).add(i)
-            row[j] = v
-        else:
-            if j in row:
-                del row[j]
-                col_index[j].discard(i)
-
-    diagonal: list[int] = []
-    while mat:
-        pivot = min(
-            ((abs(v), i, j) for i, r in mat.items() for j, v in r.items()),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        a = mat[pi][pj]
-        # clear the pivot column with row operations
-        dirty = False
-        for i in list(col_index.get(pj, ())):
-            if i == pi or i not in mat:
-                continue
-            q = mat[i][pj] // a
-            if q:
-                for j, v in list(mat[pi].items()):
-                    set_entry(i, j, mat[i].get(j, 0) - q * v)
-            if mat[i].get(pj):
-                dirty = True  # remainder left; pivot will shrink next pass
-        if dirty:
-            continue
-        # clear the pivot row with column operations
-        dirty = False
-        for j in list(mat[pi].keys()):
-            if j == pj:
-                continue
-            q = mat[pi][j] // a
-            if q:
-                for i in list(col_index.get(pj, ())):
-                    if i in mat:
-                        set_entry(i, j, mat[i].get(j, 0) - q * mat[i][pj])
-            if mat[pi].get(j):
-                dirty = True
-        if dirty:
-            continue
-        diagonal.append(abs(a))
-        for j in list(mat[pi]):
-            col_index[j].discard(pi)
-        del mat[pi]
-    return diagonal
-
-
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
     """Invariant factors of a nonnegative diagonal, each dividing the next.
 
@@ -265,27 +199,99 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
 
 
 def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
-    """Smith normal form data of the lattice spanned by the given rows."""
-    lat = IntLattice(cols)
-    lat.add_many(rows)
-    lat.normalize()
-    basis = lat.basis_rows()
-    # unit pivots split off: in the reduced Hermite form their pivot columns
-    # carry no other entries, so they contribute invariant factor 1
-    units = 0
-    residue: list[Row] = []
-    unit_cols = set()
-    for row in basis:
-        j = min(row)
-        if abs(row[j]) == 1:
-            units += 1
-            unit_cols.add(j)
+    """Smith normal form data of the lattice spanned by the given rows.
+
+    Elimination on unit pivots, as in the elimination phase of Dumas,
+    Saunders and Villard (J. Symb. Comput. 2001): the pivot is a +-1 entry
+    of a shortest row that has one, in its column with the fewest entries.
+    It clears its column exactly and splits off an invariant factor 1.  A
+    row without a +-1 entry is parked until a pivot changes it.  The rows
+    left when none has one, the residue, are diagonalised on pivots of
+    least size, whose remainders become the next pivots.
+    """
+    mat: dict[int, Row] = {}  # the active rows by id
+    held: dict[int, list[int]] = {}  # column -> ids of rows that held it
+    count = [0] * cols  # column -> number of active rows holding it
+    units: defaultdict[int, set[int]] = defaultdict(set)  # length -> rows with a +-1
+
+    def settle(i: int) -> None:
+        """Drops new or changed row i if it is empty, or files it by its
+        length if it has a +-1 entry; else it stays parked."""
+        row = mat[i]
+        if not row:
+            del mat[i]
+        elif 1 in row.values() or -1 in row.values():
+            units[len(row)].add(i)
+
+    for i, row in enumerate(rows):
+        row = {j: v for j, v in row.items() if v}
+        for j in row:
+            if not 0 <= j < cols:
+                raise LinalgError(f"coordinate {j} out of range 0..{cols - 1}")
+            held.setdefault(j, []).append(i)
+            count[j] += 1
+        if row:
+            mat[i] = row
+            settle(i)
+
+    def clear(pi: int, pj: int) -> bool:
+        """Subtracts multiples of row pi from the other rows holding column
+        pj; whether one of them keeps a remainder there."""
+        row = mat[pi]
+        a, left = row[pj], False
+        for i in held[pj]:
+            other = mat.get(i)
+            if i == pi or other is None or pj not in other:
+                continue  # a stale id
+            q = other[pj] // a
+            if q:
+                units[len(other)].discard(i)
+                for j, v in row.items():
+                    nv = other.get(j, 0) - q * v
+                    if not nv:
+                        del other[j]
+                        count[j] -= 1
+                        continue
+                    if j not in other:
+                        count[j] += 1
+                        held[j].append(i)
+                    other[j] = nv
+                settle(i)
+            left = left or pj in other
+        return left
+
+    def split_off(pi: int, pj: int) -> int:
+        """Removes row pi, alone in column pj; its pivot."""
+        del held[pj]
+        row = mat.pop(pi)
+        for j in row:
+            count[j] -= 1
+        return abs(row[pj])
+
+    diagonal: list[int] = []
+    while mat:
+        k = min((k for k, rs in units.items() if rs), default=None)
+        if k is not None:
+            pi = units[k].pop()
+            pj = min((j for j, v in mat[pi].items() if v in (1, -1)), key=count.__getitem__)
+            clear(pi, pj)
+            diagonal.append(split_off(pi, pj))
+            continue
+        _, pi, pj = min((abs(v), i, j) for i, r in mat.items() for j, v in r.items())
+        if clear(pi, pj):
+            continue
+        # column pj holds row pi alone, so column operations change only
+        # row pi: they take its other entries modulo the pivot
+        row = mat[pi]
+        for j in [j for j in row if j != pj]:
+            row[j] %= row[pj]
+            if not row[j]:
+                del row[j]
+                count[j] -= 1
+        if len(row) > 1:
+            settle(pi)
         else:
-            residue.append(row)
-    residue = [
-        {c: v for c, v in row.items() if c not in unit_cols} for row in residue
-    ]
-    diagonal = [1] * units + _generic_snf(residue)
+            diagonal.append(split_off(pi, pj))
     factors = _divisibility_chain(diagonal)
     return SnfResult(invariant_factors=factors, rank=len(factors), cols=cols)
 

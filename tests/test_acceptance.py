@@ -13,7 +13,7 @@ import time
 import pytest
 
 from jacobitrees.cli import compute_quotient, lyndon_rows
-from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense
+from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense, snf_from_rows
 from jacobitrees.lie import (
     GradedConfig,
     expand,
@@ -130,21 +130,25 @@ def test_criterion_3_jacobi_tables_odd():
         ranks.append(res.free_rank)
         torsion_free = torsion_free and not res.torsion
     ok = ranks == ODD_RANKS and torsion_free
-    # n = 7: probabilistic rank over Q via two primes near 2^20
-    rows7 = lyndon_rows(7, ("as", "ihx", "stu2"), "odd")
+    # n = 7: the rank modulo two primes near 2^20, and exactly over Z
+    rows7 = list(lyndon_rows(7, ("as", "ihx", "stu2"), "odd"))
     mod_ranks = rank_modp_rows_dense(rows7, math.factorial(6))
     quotient7 = {p: math.factorial(6) - r for p, r in mod_ranks.items()}
+    exact7 = snf_from_rows(rows7, math.factorial(6))
     ok = ok and set(quotient7.values()) == {ODD_RANK_N7}
+    ok = ok and exact7.rank == 712 and exact7.free_rank == ODD_RANK_N7
+    ok = ok and not exact7.torsion
     report(
         3,
-        f"A^T,odd ranks n=1..6 = {ranks} torsion-free, n=7 -> {quotient7} (probabilistic)",
+        f"A^T,odd ranks n=1..6 = {ranks} torsion-free, n=7 -> {quotient7} mod p, "
+        f"{exact7.free_rank} torsion-free over Z",
         ok,
     )
 
 
 @pytest.mark.skipif(
     not os.environ.get("JACOBITREES_ACCEPT_N8"),
-    reason="optional n=8 check takes ~30 s; set JACOBITREES_ACCEPT_N8=1",
+    reason="optional n=8 and exact even n=7 checks take ~1 min; set JACOBITREES_ACCEPT_N8=1",
 )
 def test_criterion_3_optional_degree8():
     cols = math.factorial(7)
@@ -152,6 +156,10 @@ def test_criterion_3_optional_degree8():
     quotient = {p: cols - r for p, r in ranks.items()}
     ok = set(quotient.values()) == {12}
     report(3, f"optional: A^T,odd_8 -> {quotient} (probabilistic)", ok)
+    # exact over Z: the even quotient at n = 7 has 2-torsion
+    even7 = snf_from_rows(lyndon_rows(7, ("as", "ihx", "stu2"), "even"), math.factorial(6))
+    ok = even7.free_rank == 2 and even7.torsion == [2] * 6
+    report(4, f"optional: A^T,even_7 = Z^{even7.free_rank} + torsion {even7.torsion}", ok)
 
 
 def test_criterion_4_jacobi_tables_even():

@@ -543,8 +543,14 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
         '{"invariant_factors": ["1"], "rank": 1, "cols": 3}',
         "[" * 200_000,
         '{"invariant_factors": [1], "rank": 1, "cols": 0}',
+        '{"invariant_factors": [], "rank": 0, "cols": 7}',
+        '{"invariant_factors": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "rank": 10,'
+        ' "cols": 12, "probabilistic": true}',
     ],
-    ids=["zero factor", "string factor", "deep nesting", "rank above cols"],
+    ids=[
+        "zero factor", "string factor", "deep nesting", "rank above cols",
+        "other cols", "probabilistic",
+    ],
 )
 def test_invalid_cache_entry_is_a_miss(tmp_path, capsys, entry):
     args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
@@ -565,16 +571,22 @@ def test_cache_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch):
         return compute(*args)
 
     monkeypatch.setattr(cli, "compute_quotient", counting)
-    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
-    with monkeypatch.context() as m:
-        m.setattr(cli, "code_fingerprint", lambda: "other code")
-        _, stale, _ = run_cli(capsys, *args)
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and out == stale
-    assert len(computed) == 2
-    assert len(list(tmp_path.glob("*.json"))) == 2
-    run_cli(capsys, *args)
-    assert len(computed) == 2  # the entry of this code is a hit
+    # every route: the cols and certificate of its own entry match the run's
+    routes = (("--n", "3"), ("--n", "4", "--method", "lyndon"),
+              ("--n", "4", "--method", "modular"), ("--n", "1", "--method", "modular"))
+    for k, route in enumerate(routes):
+        computed.clear()
+        cache = tmp_path / str(k)
+        args = ("rank", *route, "--format", "csv", "--cache-dir", str(cache))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "code_fingerprint", lambda: "other code")
+            _, stale, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and out == stale
+        assert len(computed) == 2
+        assert len(list(cache.glob("*.json"))) == 2
+        run_cli(capsys, *args)
+        assert len(computed) == 2, route  # the entry of this code is a hit
 
 
 def test_unwritable_cache_dir_keeps_the_result(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -144,6 +145,76 @@ def test_rank_matches_fraction_oracle(seed):
     # exact, not probabilistic: every minor is at most 4! * 5^4 < p in size
     ranks = rank_modp_rows_dense(rows, 4)
     assert ranks == {p: fraction_rank(rows, 4) for p in DENSE_PRIMES}
+
+
+def bareiss_det(mat):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def determinantal_factors(mat):
+    """Invariant factors from determinantal divisors: d_k is the gcd of the
+    k x k minors, and factor k is d_k / d_(k-1), while d_k is not 0."""
+    factors, prev = [], 1
+    for k in range(1, min(len(mat), len(mat[0])) + 1):
+        d = 0
+        for rs in itertools.combinations(range(len(mat)), k):
+            for cs in itertools.combinations(range(len(mat[0])), k):
+                d = math.gcd(d, bareiss_det([[mat[i][j] for j in cs] for i in rs]))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
+@st.composite
+def small_matrices(draw, entries, max_rows=5):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, 5))
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def with_a_unit(draw):
+    mat = draw(small_matrices(st.integers(-4, 4)))
+    mat[draw(st.integers(0, len(mat) - 1))][draw(st.integers(0, len(mat[0]) - 1))] = draw(
+        st.sampled_from((1, -1))
+    )
+    return mat
+
+
+@st.composite
+def with_duplicate_rows(draw):
+    mat = draw(small_matrices(st.integers(-4, 4), max_rows=3))
+    extra = draw(st.lists(st.sampled_from(mat), min_size=1, max_size=5 - len(mat)))
+    return draw(st.permutations(mat + extra))
+
+
+@given(
+    st.one_of(
+        with_a_unit(),
+        # no +-1 entry: every pivot is found among the residue
+        small_matrices(st.sampled_from((-4, -3, -2, 2, 3, 4))),
+        with_duplicate_rows(),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_match_determinantal_divisors(mat):
+    rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
+    assert snf_from_rows(rows, len(mat[0])).invariant_factors == determinantal_factors(mat)
 
 
 def test_cokernel_as_ihx_degree3():
