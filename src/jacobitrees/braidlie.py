@@ -208,21 +208,18 @@ def source_words(n: int) -> list[tuple[int, ...]]:
 
     Each uses every letter and therefore repeats exactly one; they form a
     basis of the normalised weight-n part one column to the right of the
-    quotient the doubling differential lands in.
+    quotient the doubling differential lands in.  A Lyndon word starts with
+    its least letter, 1; when 1 is not the doubled letter it is the only
+    1, so every arrangement of the other letters after it is Lyndon.
     """
     if n < 3:
         return []
     out = []
     for doubled in range(1, n):
-        letters = sorted(list(range(1, n)) + [doubled])
-        seen = set()
-        for perm in itertools.permutations(letters):
-            if perm in seen:
-                continue
-            seen.add(perm)
-            if is_lyndon(perm):
-                out.append(perm)
-    return sorted(set(out))
+        for tail in set(itertools.permutations([*range(2, n), doubled])):
+            if doubled != 1 or is_lyndon((1, *tail)):
+                out.append((1, *tail))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,17 @@ def certification(method: str) -> str:
     return "probabilistic over Q" if method == "modular" else "exact over Z"
 
 
-#: Families from this degree up (300 source words at 6, 2160 at 7) split
-#: their source words with one forked child.  At 5 and below (at most 48
-#: words, ~20 ms) a fork costs more than the half it saves.
+#: Families from this degree up (300 source words at 6, 2160 at 7) are made
+#: by a pool of this process and one forked child.  At 5 and below (at most
+#: 48 words, ~20 ms) a fork costs more than the share it saves.
 SPLIT_DEGREE = 6
+
+#: Each chunk of the pool takes this share, 1/16, of the source words that
+#: the chunks before it leave: guided self-scheduling (Polychronopoulos &
+#: Kuck, IEEE Trans. Comput. 1987), long chunks first and then shorter ones
+#: down to one word, so that both processes finish close together.  A chunk
+#: is claimed by its number, one byte: degree 8 gets 118 chunks.
+POOL_SHARE = 16
 
 
 def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
@@ -98,10 +105,11 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
     give no rows.  Each stu2 vector is straightened, a route whose agreement
     with the expansion route is a tested invariant; each distinct tree once
     per process, through a memo that lives as long as the returned generator.
-    From SPLIT_DEGREE on, with two CPUs, a forked child makes the rows of
-    the second half of the source words while this process yields those of
-    the first; the child's rows follow, in the same order as unsplit.
-    Kinds without as,ihx are refused on the call, not on the first row.
+    From SPLIT_DEGREE on, with two CPUs, the rows come from a pool of this
+    process and one child, forked on this call (see _pool), so that the
+    child works while the caller prepares to consume; they are yielded in
+    the same order as unsplit.  Kinds without as,ihx are refused on the
+    call, not on the first row.
     """
     if not lie_quotient(kinds):
         raise UsageError(
@@ -111,83 +119,151 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
     if "stu2" not in kinds:
         return iter(())
     index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
+    memo = {}
 
     def rows(words):
-        memo = {}
         # words passed positionally: perfbench's wrapper takes no keywords
         for v in relations.stu2_relations(n, parity, words).vectors():
             row = {index[k]: c for k, c in straighten_vector(v, memo).items()}
             if row:
                 yield row
 
-    def split_rows():
-        words = braidlie.source_words(n)
-        half = len(words) // 2
-        child = _fork_rows(rows(words[half:])) if n >= SPLIT_DEGREE else None
-        if child is None:
-            yield from rows(words)
-            return
-        pid, reader = child
-        try:
-            yield from rows(words[:half])
-            try:  # the rows, or the child's error text
-                payload = marshal.loads(reader.read())
-            except (EOFError, ValueError, TypeError):
-                payload = "nothing sent"
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = None
-            if code or not isinstance(payload, list):
-                raise ResourceAbort(
-                    f"the child making the second half of the degree-{n} stu2 "
-                    f"rows failed with exit code {code}: {payload}"
-                )
-            yield from payload
-        finally:
-            reader.close()
-            if pid is not None:  # the consumer stopped early or raised
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-    return split_rows()
+    if n < SPLIT_DEGREE:
+        return rows(None)
+    stream = _pool(rows, braidlie.source_words(n), n)
+    next(stream)  # forks now; close() and garbage collection reap the child
+    return stream
 
 
-def _fork_rows(rows):
-    """Starts a child that makes the list of rows and writes it to a pipe
-    once, by marshal; its pid and the read end of the pipe.  None when
-    there is no second CPU or no fork: the caller then makes the rows."""
+def _pool(rows, words, n: int):
+    """rows(words), in order, made by this process and one forked child.
+
+    The words are cut into chunks by POOL_SHARE.  The child makes chunk 0;
+    then each process claims the next unclaimed chunk by reading its number,
+    one byte, from a ticket pipe, which is atomic.  The child sends each
+    chunk it finishes as one record: its length in 4 bytes, then the
+    marshal of (chunk, rows), or of its error text.  This process yields
+    the chunks in order: while the next one is the child's and has not
+    arrived, it makes the next unclaimed chunk, keeping it until its turn,
+    and reads what the child sent between the rows it makes.  Without a
+    second CPU or a fork it makes every row.  The first next() forks.
+    """
+    chunks, a = [], 0
+    while a < len(words):
+        size = -(-(len(words) - a) // POOL_SHARE)
+        chunks.append(words[a : a + size])
+        a += size
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    if cpus < 2 or not hasattr(os, "fork"):
-        return None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
+    pid = None
+    if cpus > 1 and hasattr(os, "fork"):
+        ticket_fd, write_fd = os.pipe()
+        os.write(write_fd, bytes(range(1, len(chunks))))
+        os.close(write_fd)  # an empty ticket pipe then reads as end of file
+        result_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (ticket_fd, result_fd, write_fd):
+                os.close(fd)
     if pid == 0:
         # the child ends in os._exit, so it runs none of the parent's
         # cleanup and never flushes the stdout buffer it inherited; it runs
         # only Python code, never numpy, whose threads fork does not copy
         code = 1
         try:
-            os.close(read_fd)
-            try:
-                payload, ok = list(rows), True
-            except Exception as exc:
-                payload, ok = repr(exc), False
-            with open(write_fd, "wb") as fh:
-                marshal.dump(payload, fh)
-            code = 0 if ok else 1
+            os.close(result_fd)
+            with open(write_fd, "wb") as out:
+
+                def send(record):
+                    blob = marshal.dumps(record)
+                    out.write(len(blob).to_bytes(4, "little") + blob)
+                    out.flush()
+
+                try:
+                    ticket = b"\0"
+                    while ticket:
+                        send((ticket[0], list(rows(chunks[ticket[0]]))))
+                        ticket = os.read(ticket_fd, 1)
+                    code = 0
+                except Exception as exc:
+                    send(repr(exc))
         finally:
             os._exit(code)
+    if pid is None:
+        yield None
+        yield from rows(words)
+        return
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    import select
+
+    arrived = {}  # chunk -> its rows, finished before its turn
+    mine = None  # chunk, row iterator and rows made of this process's chunk
+    data = bytearray()  # the child's records not yet decoded
+
+    def receive(wait: bool) -> None:
+        """Decodes the chunks the child has sent into arrived, waiting for
+        its next record if wait.  The child is reaped when its pipe ends,
+        and its failure, or its end while a chunk is awaited, raises."""
+        nonlocal pid
+        ended, text, code = False, None, 0
+        if pid is not None and (wait or select.select([result_fd], [], [], 0)[0]):
+            got = os.read(result_fd, 1 << 16)
+            data.extend(got)
+            ended = not got
+        while len(data) >= 4:
+            end = 4 + int.from_bytes(data[:4], "little")
+            if len(data) < end:
+                break
+            record = marshal.loads(data[4:end])
+            del data[:end]
+            if isinstance(record, str):  # the child's error text
+                text = record
+                break
+            arrived[record[0]] = record[1]
+        if pid is not None and (ended or text is not None):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+        if code or text is not None or (wait and pid is None):
+            raise ResourceAbort(
+                f"the child making degree-{n} stu2 rows failed with exit code "
+                f"{code}: {text or 'nothing sent'}"
+            )
+
+    try:
+        yield None
+        for i in range(len(chunks)):
+            while True:
+                receive(wait=False)
+                if i in arrived:
+                    break
+                if mine is None:
+                    ticket = os.read(ticket_fd, 1)
+                    if not ticket:  # every chunk is claimed: i is the child's
+                        receive(wait=True)
+                        continue
+                    mine = ticket[0], rows(chunks[ticket[0]]), []
+                chunk, made_rows, made = mine
+                row = next(made_rows, None)
+                if row is None:
+                    arrived[chunk], mine = made, None
+                elif chunk == i:
+                    yield from made
+                    made.clear()
+                    yield row
+                else:
+                    made.append(row)
+            yield from arrived.pop(i)
+    finally:
+        os.close(ticket_fd)
+        os.close(result_fd)
+        if pid is not None:  # done, or the consumer stopped early or raised
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def compute_quotient(
@@ -444,6 +520,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             )
         return 0
 
+    # asked for now, so that from SPLIT_DEGREE on the child makes rows
+    # while this process computes the coordinates
+    rows = lyndon_rows(n, args.relations, args.parity) if stu2_verdict and n > 1 else None
     coords = to_lyndon_coordinates(vec, n)
     print(f"lyndon coordinates: {coords}")
     zero = not any(coords)
@@ -465,7 +544,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             print(f"ZERO in A^T,{parity}_1 (degree-1 classes die definitionally)")
             return 0
         lat = IntLattice(math.factorial(n - 1))
-        lat.add_many(lyndon_rows(n, args.relations, parity))
+        lat.add_many(rows)
         lat.normalize()
         reduced = lat.reduce({j: c for j, c in enumerate(coords) if c})
         if reduced:

@@ -2,10 +2,10 @@
 
 The workhorse is snf_from_rows, sparse elimination on unit pivots: each
 +-1 pivot splits off an invariant factor 1, and only the small residue of
-rows without one is diagonalised on pivots of least size.  IntLattice, an
-incremental row-Hermite-form accumulator (xgcd pivoting, arbitrary
-precision), gives the canonical residues of `reduce`.  Ranks too large for
-exact elimination are taken modulo two primes near 2^20 by
+rows without one is diagonalised by Euclid, one column at a time.
+IntLattice, an incremental row-Hermite-form accumulator (xgcd pivoting,
+arbitrary precision), gives the canonical residues of `reduce`.  Ranks too
+large for exact elimination are taken modulo two primes near 2^20 by
 rank_modp_rows_dense, a blocked engine that reduces a block of rows against
 the pivot rows with one float64 matmul; the products are exact integers
 while p^2 * cols < 2^53.  Everything is deterministic.
@@ -206,8 +206,11 @@ def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
     of a shortest row that has one, in its column with the fewest entries.
     It clears its column exactly and splits off an invariant factor 1.  A
     row without a +-1 entry is parked until a pivot changes it.  The rows
-    left when none has one, the residue, are diagonalised on pivots of
-    least size, whose remainders become the next pivots.
+    left when none has one, the residue, are diagonalised by Euclid: the
+    least entry of one column is the pivot until no other row keeps a
+    remainder there, then the least remainder of its row, if any; a new
+    column is the one with the fewest entries.  Each step splits off a row
+    or shrinks the residue pivot, so the loop ends.
     """
     mat: dict[int, Row] = {}  # the active rows by id
     held: dict[int, list[int]] = {}  # column -> ids of rows that held it
@@ -269,15 +272,18 @@ def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
         return abs(row[pj])
 
     diagonal: list[int] = []
+    pj = None  # the column of the residue pivot
     while mat:
         k = min((k for k, rs in units.items() if rs), default=None)
         if k is not None:
             pi = units[k].pop()
-            pj = min((j for j, v in mat[pi].items() if v in (1, -1)), key=count.__getitem__)
-            clear(pi, pj)
-            diagonal.append(split_off(pi, pj))
+            uj = min((j for j, v in mat[pi].items() if v in (1, -1)), key=count.__getitem__)
+            clear(pi, uj)
+            diagonal.append(split_off(pi, uj))
             continue
-        _, pi, pj = min((abs(v), i, j) for i, r in mat.items() for j, v in r.items())
+        if pj is None or not count[pj]:
+            pj = min((j for j in range(cols) if count[j]), key=count.__getitem__)
+        _, pi = min((abs(mat[i][pj]), i) for i in held[pj] if pj in mat.get(i, ()))
         if clear(pi, pj):
             continue
         # column pj holds row pi alone, so column operations change only
@@ -290,8 +296,10 @@ def snf_from_rows(rows: Iterable[Row], cols: int) -> SnfResult:
                 count[j] -= 1
         if len(row) > 1:
             settle(pi)
+            pj = min((j for j in row if j != pj), key=lambda j: abs(row[j]))
         else:
             diagonal.append(split_off(pi, pj))
+            pj = None
     factors = _divisibility_chain(diagonal)
     return SnfResult(invariant_factors=factors, rank=len(factors), cols=cols)
 

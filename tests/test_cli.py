@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -180,17 +181,23 @@ def test_lyndon_rows_refuses_kinds_without_as_ihx_on_the_call():
         ("even", "7c84afc1777da00837fce6b9de2f1c6b8b9e1dd5488d599e7dbc110b9c55e9ac"),
     ],
 )
-def test_lyndon_rows_pinned(parity, digest):
+def test_lyndon_rows_pinned(parity, digest, forks):
     # every row of n = 3..7, in stream order with its items sorted, and
     # again with its items in the row's own order: reduce prints its stu2
-    # residue in insertion order, which follows the rows' key order
+    # residue in insertion order, which follows the rows' key order.  Each
+    # family from SPLIT_DEGREE up comes from a pool with one child, and no
+    # family below it forks
     h, ordered = hashlib.sha256(), hashlib.sha256()
     for n in range(3, 8):
+        before = len(forks)
         for row in cli.lyndon_rows(n, ("as", "ihx", "stu2"), parity):
             h.update((repr(sorted(row.items())) + "\n").encode())
             ordered.update((repr(list(row.items())) + "\n").encode())
+        assert len(forks) - before == (n >= cli.SPLIT_DEGREE), n
     assert h.hexdigest() == digest
     assert ordered.hexdigest() == ROWS_IN_KEY_ORDER[parity]
+    for pid in forks:
+        assert_reaped(pid)
 
 
 ROWS_IN_KEY_ORDER = {
@@ -200,10 +207,12 @@ ROWS_IN_KEY_ORDER = {
 STU2 = ("as", "ihx", "stu2")
 
 
-def rows_digest(n, parity):
+def rows_digest(parity):
+    """ROWS_IN_KEY_ORDER's digest of the rows of n = 3..7."""
     h = hashlib.sha256()
-    for row in cli.lyndon_rows(n, STU2, parity):
-        h.update((repr(list(row.items())) + "\n").encode())
+    for n in range(3, 8):
+        for row in cli.lyndon_rows(n, STU2, parity):
+            h.update((repr(list(row.items())) + "\n").encode())
     return h.hexdigest()
 
 
@@ -236,6 +245,49 @@ def test_only_families_from_degree_6_fork(forks):
     assert len(list(cli.lyndon_rows(6, STU2, "odd"))) == 300
     [pid] = forks
     assert_reaped(pid)
+
+
+def test_the_pool_forks_on_the_call_and_an_unread_stream_reaps_it(forks):
+    rows = cli.lyndon_rows(6, STU2, "odd")
+    [pid] = forks  # before the first row is taken
+    del rows
+    assert_reaped(pid)
+
+
+def test_a_reduce_failing_after_the_fork_reaps_the_child(capsys, forks, monkeypatch):
+    def coordinates_fail(vec, n):
+        assert forks, "the rows are asked for before the coordinates"
+        raise cli.ResourceAbort("the coordinates failed")
+
+    monkeypatch.setattr(cli, "to_lyndon_coordinates", coordinates_fail)
+    code, out, err = run_cli(
+        capsys, "reduce", "--expr", "[[[[[1,2],3],4],5],6]", "--relations", "as,ihx,stu2",
+        "--parity", "odd",
+    )
+    assert (code, out, err) == (3, "", "resource abort: the coordinates failed\n")
+    [pid] = forks
+    assert_reaped(pid)
+
+
+@pytest.mark.parametrize("slow", ["child", "parent"])
+def test_the_slower_process_makes_fewer_rows(forks, monkeypatch, slow):
+    expected = list(cli.lyndon_rows(6, STU2, "odd"))
+    parent = os.getpid()
+    straighten = cli.straighten_vector
+    here = []  # the vectors this process straightened
+
+    def slowed(v, memo):
+        if (os.getpid() == parent) == (slow == "parent"):
+            time.sleep(0.002)
+        if os.getpid() == parent:
+            here.append(v)
+        return straighten(v, memo)
+
+    monkeypatch.setattr(cli, "straighten_vector", slowed)
+    assert list(cli.lyndon_rows(6, STU2, "odd")) == expected
+    assert (len(here) > len(expected) / 2) == (slow == "child"), len(here)
+    for pid in forks:
+        assert_reaped(pid)
 
 
 def test_child_is_reaped_when_the_consumer_stops_early(forks):
@@ -289,10 +341,15 @@ def test_a_failed_child_aborts_the_command(capsys, forks, monkeypatch, failure):
         capsys, "rank", "--n", "6", "--relations", "as,ihx,stu2", "--parity", "odd",
         "--method", "modular", "--format", "csv",
     )
-    assert code == 3 and out == ""
-    assert err.startswith("resource abort: ") and err.count("\n") == 1
-    if failure == "raises":
-        assert "straightening failed" in err
+    # the child fails on its first chunk, which is always its own
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith(
+        "resource abort: the child making degree-6 stu2 rows failed with exit code "
+    )
+    assert err.endswith(
+        "1: RuntimeError('straightening failed')\n" if failure == "raises"
+        else f"{-signal.SIGKILL}: nothing sent\n"
+    )
     [pid] = forks
     assert_reaped(pid)
 
@@ -319,33 +376,32 @@ def test_split_commands_print_once_on_a_pipe():
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-def test_one_cpu_and_a_failing_fork_give_the_same_rows(forks, monkeypatch):
-    split = rows_digest(6, "odd")
-    assert len(forks) == 1
-    # a process on one CPU makes every row itself: fork is never called
+def test_one_cpu_and_a_failing_fork_give_the_same_rows(monkeypatch):
+    # the pool's rows are pinned by test_lyndon_rows_pinned; a process on
+    # one CPU makes every row itself: fork is never called
     cpu = min(os.sched_getaffinity(0))
     code = (
-        "import hashlib, os\n"
-        "from jacobitrees import cli\n"
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+        "from test_cli import rows_digest\n"
         "def no_fork():\n"
         "    raise AssertionError('forked on one CPU')\n"
         "os.fork = no_fork\n"
-        "h = hashlib.sha256()\n"
-        "for row in cli.lyndon_rows(6, ('as', 'ihx', 'stu2'), 'odd'):\n"
-        "    h.update((repr(list(row.items())) + '\\n').encode())\n"
-        "print(len(os.sched_getaffinity(0)), h.hexdigest())\n"
+        "print(len(os.sched_getaffinity(0)), rows_digest('odd'), rows_digest('even'))\n"
     )
     one_cpu = subprocess.run(
         [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
         check=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
-    assert one_cpu.stdout == f"1 {split}\n"
+    assert one_cpu.stdout == f"1 {ROWS_IN_KEY_ORDER['odd']} {ROWS_IN_KEY_ORDER['even']}\n"
 
     def refused():
         raise OSError("fork refused")
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", refused)
-    assert rows_digest(6, "odd") == split
+    for parity in ("odd", "even"):
+        assert rows_digest(parity) == ROWS_IN_KEY_ORDER[parity]
 
 
 def test_importing_the_cli_loads_no_heavy_module():

@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import math
 
 import pytest
 
 from jacobitrees import braidlie
 from jacobitrees.intlinalg import cokernel, snf_from_rows
-from jacobitrees.lie import expand, to_lyndon_coordinates
+from jacobitrees.lie import expand, is_lyndon, to_lyndon_coordinates
 from jacobitrees.relations import (
     as_relations,
     ihx_relations,
@@ -135,6 +136,20 @@ def test_source_words():
     assert len(braidlie.source_words(4)) == 9
     for w in braidlie.source_words(5):
         assert len(w) == 5 and set(w) == {1, 2, 3, 4}
+
+
+def test_source_words_match_the_lyndon_filter_over_all_arrangements():
+    # the oracle: every distinct arrangement of 1..n-1 plus a doubled
+    # letter, kept when is_lyndon
+    for n in range(2, 8):
+        oracle = sorted(
+            perm
+            for doubled in range(1, n)
+            for perm in set(itertools.permutations([*range(1, n), doubled]))
+            if is_lyndon(perm)
+        )
+        assert braidlie.source_words(n) == oracle, n
+    assert len(braidlie.source_words(7)) == 2160
 
 
 def test_braid_model_consistency():
