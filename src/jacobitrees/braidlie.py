@@ -41,7 +41,8 @@ from typing import Callable, Iterable
 from .lie import is_lyndon, standard_factorization
 from .trees import Tree, TreeVector, leaf
 
-# monomials: ("g", mover, target) with mover > target, or ("b", left, right)
+# monomials: ("g", mover, target) with mover > target, or
+# ("b", left, right, weight, layer) built by _node
 Mono = tuple
 Element = dict[Mono, int]
 Items = tuple[tuple[Mono, int], ...]
@@ -70,26 +71,22 @@ def gen(a: int, b: int, model: BraidModel) -> tuple[Mono, int]:
     return ("g", b, a), model.sigma
 
 
-def weight(m: Mono) -> int:
-    if m[0] == "g":
-        return 1
-    return weight(m[1]) + weight(m[2])
-
-
 def layer(m: Mono) -> int:
-    """The mover of the leftmost leaf of a pure word.
+    """The one mover on the leaves of a pure word, hence its largest: a
+    generator's own, or the one _node stored in a bracket word."""
+    return m[1] if m[0] == "g" else m[4]
 
-    A pure word has one mover on all its leaves, so this is its largest
-    mover; bracket_pure, the one caller, only ever sees pure words.
-    """
-    while m[0] == "b":
-        m = m[1]
-    return m[1]
+
+def _node(a: Mono, b: Mono) -> Mono:
+    """The bracket word [a, b] of two pure words with the same mover, with
+    its number of generators and its layer."""
+    weight = (1 if a[0] == "g" else a[3]) + (1 if b[0] == "g" else b[3])
+    return ("b", a, b, weight, a[1] if a[0] == "g" else a[4])
 
 
 def _parity(m: Mono, model: BraidModel) -> int:
-    # ungraded: every word is even, without walking it
-    return (weight(m) * model.gamma) % 2 if model.gamma else 0
+    # ungraded: every word is even, without reading it
+    return ((1 if m[0] == "g" else m[3]) * model.gamma) % 2 if model.gamma else 0
 
 
 def _add(acc: Element, m: Mono, c: int) -> None:
@@ -125,7 +122,7 @@ class BraidCalculus:
         """
         la, lb = layer(a), layer(b)
         if la == lb:
-            return ((("b", a, b), 1),)
+            return ((_node(a, b), 1),)
         if la < lb:
             sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
             return _scale(self.bracket_pure(b, a), sign)
@@ -200,7 +197,7 @@ def _word_bracket(w: tuple[int, ...], mover: int) -> Mono:
     if len(w) == 1:
         return ("g", mover, w[0])
     u, v = standard_factorization(w)
-    return ("b", _word_bracket(u, mover), _word_bracket(v, mover))
+    return _node(_word_bracket(u, mover), _word_bracket(v, mover))
 
 
 def source_words(n: int) -> list[tuple[int, ...]]:
@@ -237,11 +234,11 @@ def _bilinear(m: Mono, leaf_sum: Callable, product: Callable) -> Element:
     the element leaf_sum(x), each node the product of its children's."""
     if m[0] == "g":
         return leaf_sum(m[2])
-    return product(*(_bilinear(child, leaf_sum, product) for child in m[1:]))
+    return product(_bilinear(m[1], leaf_sum, product), _bilinear(m[2], leaf_sum, product))
 
 
 def _formal_product(left: Element, right: Element) -> Element:
-    return {("b", a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
+    return {_node(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
 def doubling_image(w: tuple[int, ...], n: int, model: BraidModel) -> TreeVector:

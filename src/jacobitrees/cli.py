@@ -23,7 +23,7 @@ from . import braidlie, intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
 from .words import WordError
 from .intlinalg import IntLattice, SnfResult, snf_from_rows
-from .lie import lyndon_basis, straighten_vector, to_lyndon_coordinates
+from .lie import lyndon_words, standard_bracketing, straighten_vector, to_lyndon_coordinates
 from .trees import (
     ENUMERATION_CAP,
     TreeError,
@@ -118,7 +118,7 @@ def lyndon_rows(n: int, kinds: tuple[str, ...], parity: str | None):
         )
     if "stu2" not in kinds:
         return iter(())
-    index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
+    index = {w: i for i, w in enumerate(lyndon_words(n))}
     memo = {}
 
     def rows(words):
@@ -531,11 +531,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print("normal form: 0")
         print(f"ZERO in Lie({n})")
     else:
-        terms = {}
-        for (w, t), c in zip(lyndon_basis(n), coords):
-            if c:
-                terms[t] = c
-        nf = TreeVector.from_dict(terms)
+        # the bracketings of the nonzero coordinates: the solve built them
+        nf = TreeVector.from_dict(
+            {standard_bracketing(w): c for w, c in zip(lyndon_words(n), coords) if c}
+        )
         print(f"normal form: {nf.serialize()}")
         print(f"NONZERO in Lie({n}), coordinates {tuple(c for c in coords)}")
     if stu2_verdict:
@@ -573,7 +572,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     word = magnus.tree_to_word(t)
     alphabet = [magnus.generator_name(i) for i in range(1, n + 1)]
     poly = magnus.magnus_expand(word, truncate, alphabet)
-    ok = magnus.magnus_agreement(t)
+    ok = magnus.magnus_agreement(t, poly)
     if args.format == "json":
         print(
             json.dumps(

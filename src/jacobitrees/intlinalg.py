@@ -102,34 +102,51 @@ class IntLattice:
         for j, v in vec.items():
             if not 0 <= j < self.n:
                 raise LinalgError(f"coordinate {j} out of range 0..{self.n - 1}")
+        # vec is reduced dense (reduce's lattices have at most 5! columns);
+        # order keeps its keys as a dict would, one that drops to 0 and comes
+        # back going last, so each row stored is what dict steps give it
+        n, pivots = self.n, self.pivot_rows
         while vec:
+            dense = [0] * n
+            for c, v in vec.items():
+                dense[c] = v
+            order = dict.fromkeys(vec)
             j = min(vec)
-            if j not in self.pivot_rows:
-                lead = vec[j]
-                if lead < 0:
+            row = pivots.get(j)
+            while row is not None and dense[j] % row[j] == 0:
+                q = dense[j] // row[j]
+                for c, v in row.items():
+                    x = dense[c]
+                    dense[c] = x - q * v
+                    if not x:
+                        order[c] = order.pop(c, None)
+                while j < n and not dense[j]:
+                    j += 1
+                if j == n:
+                    return
+                row = pivots.get(j)
+            vec = {c: dense[c] for c in order if dense[c]}
+            if row is None:
+                if vec[j] < 0:
                     vec = {c: -v for c, v in vec.items()}
-                self.pivot_rows[j] = vec
+                pivots[j] = vec
                 return
-            row = self.pivot_rows[j]
             a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                vec = _row_sub(vec, row, q)
-            else:
-                x, y, g = _xgcd(a, b)
-                # a negative gcd would leave remainders in (g, 0] on reduce
-                s = -1 if g < 0 else 1
-                new_row = _row_comb(row, s * x, vec, s * y)
-                new_vec = _row_comb(row, -(b // g), vec, a // g)
-                self.pivot_rows[j] = new_row
-                vec = new_vec
+            x, y, g = _xgcd(a, b)
+            # a negative gcd would leave remainders in (g, 0] on reduce
+            s = -1 if g < 0 else 1
+            pivots[j] = _row_comb(row, s * x, vec, s * y)
+            vec = _row_comb(row, -(b // g), vec, a // g)
 
     def add_many(self, vecs: Iterable[Row]) -> None:
         for v in vecs:
             self.add(v)
 
     def normalize(self) -> None:
-        """Fully reduce: entries above each pivot taken into [0, pivot)."""
+        """One pass from the last pivot to the first, taking the entries above
+        each pivot into [0, pivot).  A later step can move an entry already
+        taken, so this is not the canonical Hermite form: reaching it changes
+        reduce's residues and waits on their re-pin (ROADMAP item 5)."""
         for j in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[j]
             a = row[j]
@@ -137,7 +154,7 @@ class IntLattice:
                 if k < j and j in other:
                     q = other[j] // a
                     if q:
-                        self.pivot_rows[k] = _row_sub(other, row, q)
+                        _subtract(other, row, q)
 
     def reduce(self, vec: Row) -> Row:
         """Canonical representative of vec modulo the lattice."""
@@ -147,19 +164,18 @@ class IntLattice:
                 row = self.pivot_rows[j]
                 q = vec[j] // row[j]
                 if q:
-                    vec = _row_sub(vec, row, q)
+                    _subtract(vec, row, q)
         return vec
 
 
-def _row_sub(vec: Row, row: Row, q: int) -> Row:
-    out = dict(vec)
+def _subtract(vec: Row, row: Row, q: int) -> None:
+    """vec -= q * row in place: kept keys stay, new ones follow in row order."""
     for c, v in row.items():
-        nv = out.get(c, 0) - q * v
+        nv = vec.get(c, 0) - q * v
         if nv:
-            out[c] = nv
+            vec[c] = nv
         else:
-            out.pop(c, None)
-    return out
+            vec.pop(c, None)
 
 
 def _row_comb(r1: Row, c1: int, r2: Row, c2: int) -> Row:

@@ -46,10 +46,6 @@ class NcPoly:
                     self.terms[w] = c
 
     @staticmethod
-    def zero(n: int, bound: int) -> "NcPoly":
-        return NcPoly(n, bound)
-
-    @staticmethod
     def one(n: int, bound: int) -> "NcPoly":
         return NcPoly(n, bound, {(): 1})
 
@@ -60,9 +56,6 @@ class NcPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def copy_terms(self) -> dict[WordT, int]:
-        return dict(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -79,23 +72,19 @@ class NcPoly:
             out[w] = out.get(w, 0) + c
         return NcPoly(self.n, min(self.bound, other.bound), out)
 
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + other.scale(-1)
-
     def scale(self, c: int) -> "NcPoly":
         return NcPoly(self.n, self.bound, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         bound = min(self.bound, other.bound)
+        right = [(w2, c2, len(w2)) for w2, c2 in other.terms.items()]
         out: dict[WordT, int] = {}
         for w1, c1 in self.terms.items():
-            if len(w1) > bound:
-                continue
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > bound:
-                    continue
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
+            room = bound - len(w1)
+            for w2, c2, size in right:
+                if size <= room:
+                    w = w1 + w2
+                    out[w] = out.get(w, 0) + c1 * c2
         return NcPoly(self.n, bound, out)
 
     def homogeneous_part(self, degree: int) -> "NcPoly":
@@ -130,21 +119,34 @@ class GradedConfig:
         return self.generator_degree % 2 == 1
 
 
-def _expand_node(t: Tree, n: int, bound: int, odd: bool) -> NcPoly:
-    if t.is_leaf:
-        return NcPoly.letter(t.label, n, bound)
-    a = _expand_node(t.left, n, bound, odd)
-    b = _expand_node(t.right, n, bound, odd)
-    ab = a * b
-    ba = b * a
-    if odd and (t.left.degree * t.right.degree) % 2 == 1:
-        return ab + ba
-    return ab - ba
-
-
 @lru_cache(maxsize=200_000)
-def _expand_cached(t: Tree, n: int, odd: bool) -> NcPoly:
-    return _expand_node(t, n, n, odd)
+def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
+    """expand(t) on a plain {word: coefficient} dict, shared by every caller:
+    never mutated.  An expansion is homogeneous, so concatenating the words
+    of the two children never merges two products."""
+    if t.is_leaf:
+        return {(t.label,): 1}
+    a, b = _expansion(t.left, odd), _expansion(t.right, odd)
+    sign = 1 if odd and t.left.degree * t.right.degree % 2 else -1
+    out = {wa + wb: ca * cb for wa, ca in a.items() for wb, cb in b.items()}
+    for wb, cb in b.items():
+        for wa, ca in a.items():
+            w = wb + wa
+            out[w] = out.get(w, 0) + sign * cb * ca
+    return {w: c for w, c in out.items() if c}
+
+
+def _expand_terms(v: Tree | TreeVector, n: int, odd: bool) -> dict[WordT, int]:
+    """The expansion of v truncated at degree n, as a fresh dict."""
+    if not isinstance(v, Tree) and v.decorated:
+        raise LieError("expand applies to undecorated vectors")
+    terms = ((v, 1),) if isinstance(v, Tree) else v.terms
+    acc: dict[WordT, int] = {}
+    for t, c in terms:
+        if t.degree <= n:
+            for w, cc in _expansion(t, odd).items():
+                acc[w] = acc.get(w, 0) + c * cc
+    return {w: c for w, c in acc.items() if c}
 
 
 def expand(
@@ -155,16 +157,8 @@ def expand(
     With cfg, the Koszul-signed expansion graft -> xy - (-1)^(pm*qm) yx;
     for even generator degree the two coincide.
     """
-    odd = cfg is not None and cfg.odd
     nn = n if n is not None else v.degree
-    if isinstance(v, Tree):
-        return _expand_cached(v, nn, odd)
-    if v.decorated:
-        raise LieError("expand applies to undecorated vectors")
-    acc = NcPoly.zero(nn, nn)
-    for t, c in v.terms:
-        acc = acc + _expand_cached(t, nn, odd).scale(c)
-    return acc
+    return NcPoly(nn, nn, _expand_terms(v, nn, cfg is not None and cfg.odd))
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +187,15 @@ def standard_bracketing(w: WordT) -> Tree:
 
 
 @lru_cache(maxsize=16)
-def lyndon_basis(n: int) -> tuple[tuple[WordT, Tree], ...]:
-    """Multilinear Lyndon words on 1..n with standard bracketings, lex order.
+def lyndon_words(n: int) -> tuple[WordT, ...]:
+    """Multilinear Lyndon words on 1..n in lex order.
 
     A multilinear word is Lyndon iff it starts with the letter 1, so there
-    are (n-1)! of them.
+    are (n-1)! of them; permutations of a sorted range come in lex order.
     """
     if n < 1:
         raise LieError("degree must be >= 1")
-    out = []
-    for perm in itertools.permutations(range(2, n + 1)):
-        w = (1,) + perm
-        out.append((w, standard_bracketing(w)))
-    out.sort(key=lambda pair: pair[0])
-    return tuple(out)
-
-
-@lru_cache(maxsize=16)
-def _lyndon_expansions(n: int) -> tuple[tuple[WordT, dict[WordT, int]], ...]:
-    return tuple((w, _expand_cached(t, n, False).copy_terms()) for w, t in lyndon_basis(n))
+    return tuple((1, *perm) for perm in itertools.permutations(range(2, n + 1)))
 
 
 def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[int]:
@@ -219,26 +203,28 @@ def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[in
 
     Solved by stripping lexicographically-leading words; the expansion of the
     bracketing of a Lyndon word w is w plus lex-larger words, so the system
-    is unitriangular over Z.
+    is unitriangular over Z.  The Lyndon words are visited in lex order and
+    only the bracketings of the words stripped are expanded.
     """
     nn = n if n is not None else v.degree
-    poly = expand(v, nn).copy_terms()
-    basis = {w: i for i, (w, _) in enumerate(lyndon_basis(nn))}
-    expansions = _lyndon_expansions(nn)
-    coords = [0] * len(basis)
-    while poly:
-        w = min(poly)
-        c = poly[w]
-        if w not in basis:
-            raise LieError(f"expansion not in the multilinear Lie span: word {w}")
-        idx = basis[w]
-        coords[idx] = c
-        for ww, cc in expansions[idx][1].items():
+    poly = _expand_terms(v, nn, False)
+    words = lyndon_words(nn)
+    coords = [0] * len(words)
+    for i, w in enumerate(words):
+        c = poly.get(w)
+        if c is None:
+            continue
+        coords[i] = c
+        for ww, cc in _expansion(standard_bracketing(w), False).items():
             nv = poly.get(ww, 0) - c * cc
             if nv:
                 poly[ww] = nv
             else:
-                poly.pop(ww, None)
+                del poly[ww]
+    if poly:
+        # stripping w touches only words from w on, so this is the least
+        # word the solve met outside the basis
+        raise LieError(f"expansion not in the multilinear Lie span: word {min(poly)}")
     return coords
 
 

@@ -66,11 +66,13 @@ def magnus_expand(
     return acc
 
 
-def magnus_agreement(t: Tree) -> bool:
-    """True iff the word's degree-n part is expand(t) and lower degrees vanish."""
+def magnus_agreement(t: Tree, full: NcPoly | None = None) -> bool:
+    """True iff the word's degree-n part is expand(t) and lower degrees vanish;
+    full is the caller's magnus_expand of it on x1..xn truncated at >= n."""
     n = t.degree
-    alphabet = [generator_name(i) for i in range(1, n + 1)]
-    full = magnus_expand(tree_to_word(t), n, alphabet)
+    if full is None:
+        alphabet = [generator_name(i) for i in range(1, n + 1)]
+        full = magnus_expand(tree_to_word(t), n, alphabet)
     for d in range(1, n):
         if not full.homogeneous_part(d).is_zero:
             return False

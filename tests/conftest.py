@@ -1,5 +1,6 @@
 """Fixtures and the independent oracles the tests check the library against."""
 
+import pathlib
 import random
 from typing import Iterable, Sequence
 
@@ -12,9 +13,15 @@ from jacobitrees.decorations import (
     decorated_normal_form,
 )
 from jacobitrees.intlinalg import SnfResult, snf_from_rows
+from jacobitrees.lie import NcPoly, lyndon_words, standard_bracketing
 from jacobitrees.relations import RelationSet, as_relations, ihx_relations
 from jacobitrees.trees import Tree, TreeVector, decorate, leaf, tree_list
 from jacobitrees.words import Word
+
+
+#: The benchmark's pinned stu2 queries: vectors with their coordinates and
+#: the SHA-256 of what reduce prints for them.  Only read.
+STU2_POOL = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "stu2_pool.json"
 
 
 def random_tree(rng: random.Random, labels: list[int]) -> Tree:
@@ -30,6 +37,12 @@ def random_tree(rng: random.Random, labels: list[int]) -> Tree:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def lyndon_basis(n: int):
+    """lyndon_words(n), each with its standard bracketing: the basis the
+    coordinates are taken in, as (word, tree) pairs."""
+    return tuple((w, standard_bracketing(w)) for w in lyndon_words(n))
 
 
 def brute_force_trees(labels: Iterable[int]) -> list[Tree]:
@@ -123,3 +136,96 @@ def decorated_rank(n: int, tuples: Sequence[Sequence[Word]]) -> SnfResult:
                 yield {j: c for j, c in row.items() if c}
 
     return snf_from_rows(rows(), cols=len(basis_trees) * len(norm_tuples))
+
+
+def ncpoly_expand(t: Tree, n: int, odd: bool = False) -> NcPoly:
+    """The commutator expansion of t truncated at degree n, by NcPoly
+    arithmetic: lie.expand's former route, kept as its oracle."""
+    if t.is_leaf:
+        return NcPoly.letter(t.label, n, n)
+    a, b = ncpoly_expand(t.left, n, odd), ncpoly_expand(t.right, n, odd)
+    sign = 1 if odd and t.left.degree * t.right.degree % 2 else -1
+    return a * b + (b * a).scale(sign)
+
+
+class CopyingLattice:
+    """IntLattice as it was before it subtracted in place: every step builds
+    a new dict.  The oracle for the pivot rows, their key order and the
+    residues of the in-place lattice."""
+
+    def __init__(self, ambient: int):
+        self.n = ambient
+        self.pivot_rows: dict[int, dict[int, int]] = {}
+
+    def add(self, vec):
+        vec = {j: v for j, v in vec.items() if v}
+        while vec:
+            j = min(vec)
+            if j not in self.pivot_rows:
+                if vec[j] < 0:
+                    vec = {c: -v for c, v in vec.items()}
+                self.pivot_rows[j] = vec
+                return
+            row = self.pivot_rows[j]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                vec = _row_sub(vec, row, b // a)
+            else:
+                x, y, g = _xgcd(a, b)
+                s = -1 if g < 0 else 1
+                new_row = _row_comb(row, s * x, vec, s * y)
+                vec = _row_comb(row, -(b // g), vec, a // g)
+                self.pivot_rows[j] = new_row
+
+    def add_many(self, vecs):
+        for v in vecs:
+            self.add(v)
+
+    def normalize(self):
+        for j in sorted(self.pivot_rows, reverse=True):
+            row = self.pivot_rows[j]
+            for k, other in self.pivot_rows.items():
+                if k < j and j in other:
+                    q = other[j] // row[j]
+                    if q:
+                        self.pivot_rows[k] = _row_sub(other, row, q)
+
+    def reduce(self, vec):
+        vec = {j: v for j, v in vec.items() if v}
+        for j in sorted(self.pivot_rows):
+            if j in vec:
+                row = self.pivot_rows[j]
+                q = vec[j] // row[j]
+                if q:
+                    vec = _row_sub(vec, row, q)
+        return vec
+
+
+def _xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx, y, ny, g, ng = nx, x - q * nx, ny, y - q * ny, ng, g - q * ng
+    return x, y, g
+
+
+def _row_sub(vec, row, q):
+    out = dict(vec)
+    for c, v in row.items():
+        nv = out.get(c, 0) - q * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _row_comb(r1, c1, r2, c2):
+    out = {c: c1 * v for c, v in r1.items()} if c1 else {}
+    for c, v in r2.items():
+        nv = out.get(c, 0) + c2 * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out

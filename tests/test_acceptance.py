@@ -17,7 +17,6 @@ from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense, sn
 from jacobitrees.lie import (
     GradedConfig,
     expand,
-    lyndon_basis,
     straighten,
     to_lyndon_coordinates,
 )
@@ -35,7 +34,7 @@ from jacobitrees.trees import (
 )
 from jacobitrees.words import parse_word
 
-from conftest import brute_force_trees, decorated_rank
+from conftest import brute_force_trees, decorated_rank, lyndon_basis
 
 ODD_RANKS = [0, 1, 1, 2, 3, 5]     # n = 1..6
 EVEN_RANKS = [0, 1, 1, 0, 2, 1]    # n = 1..6
@@ -243,7 +242,7 @@ def test_criterion_8_graded_rank_stability():
             for t in enumerate_trees(n):
                 poly = expand(t, cfg=cfg)
                 row = {}
-                for w, c in poly.copy_terms().items():
+                for w, c in poly.terms.items():
                     j = words.setdefault(w, len(words))
                     row[j] = c
                 lat.add(row)

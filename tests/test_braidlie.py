@@ -4,7 +4,7 @@ from jacobitrees import braidlie
 from jacobitrees.lie import GradedConfig, expand, to_lyndon_coordinates
 from jacobitrees.trees import TreeVector, enumerate_trees, parse_tree
 
-from conftest import normalize
+from conftest import lyndon_basis, normalize
 
 MODELS = (braidlie.MODEL_ODD_DIM, braidlie.MODEL_EVEN_DIM)
 
@@ -62,7 +62,7 @@ def test_koszul_sign_bridge():
     cfg = GradedConfig(generator_degree=1)
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            graded = expand(t, cfg=cfg).copy_terms()
+            graded = expand(t, cfg=cfg).terms
             twisted = {w: _word_sign(w) * c for w, c in graded.items()}
             seq = []
 
@@ -75,7 +75,7 @@ def test_koszul_sign_bridge():
 
             leaves(t)
             psi = _word_sign(tuple(seq))
-            plain = {w: psi * c for w, c in expand(t).copy_terms().items()}
+            plain = {w: psi * c for w, c in expand(t).terms.items()}
             assert twisted == plain
 
 
@@ -135,7 +135,7 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
     import math
 
     from jacobitrees.intlinalg import IntLattice
-    from jacobitrees.lie import lyndon_basis, straighten_vector
+    from jacobitrees.lie import straighten_vector
 
     n = 4
     for model in MODELS:

@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import csv
@@ -19,6 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jacobitrees import cli, intlinalg
 from jacobitrees.cli import main
 from jacobitrees.trees import enumerate_trees, tree_count
+
+from conftest import STU2_POOL
 
 
 def run_cli(capsys, *argv):
@@ -689,6 +692,23 @@ def test_reduce_with_stu2_verdict(capsys):
     )
     assert code == 0
     assert "NONZERO in A^T,odd_2" in out
+
+
+@pytest.mark.parametrize("key, index", [("5-even", 15), ("5-odd", 0), ("6-even", 0), ("6-odd", 10)])
+def test_reduce_prints_the_pinned_bytes_of_stu2_pool_vectors(capsys, key, index):
+    # the benchmark's pinned stdout of one vector per degree and parity;
+    # each residue prints with its columns out of order, so the pin holds
+    # the key order the lattice's rows give it
+    entry = json.loads(STU2_POOL.read_text())[key][index]
+    expr = " ".join(f"{c:+d}*{json.dumps(t, separators=(',', ':'))}" for c, t in entry["terms"])
+    code, out, _ = run_cli(
+        capsys, "reduce", f"--expr={expr}", "--relations", "as,ihx,stu2",
+        "--parity", key.split("-")[1],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+    residue = list(ast.literal_eval(out.rpartition("residue ")[2]))
+    assert residue != sorted(residue)
 
 
 def test_reduce_needs_as_and_ihx(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobitrees import intlinalg
-from jacobitrees.cli import cache_key, cache_load, cache_store
+from jacobitrees.cli import cache_key, cache_load, cache_store, lyndon_rows
 from jacobitrees.intlinalg import (
     DENSE_PRIMES,
     IntLattice,
@@ -18,9 +19,10 @@ from jacobitrees.intlinalg import (
     snf_from_rows,
     vector_to_row,
 )
-from jacobitrees.lie import lyndon_basis
 from jacobitrees.relations import as_relations, ihx_relations, relation_union
 from jacobitrees.trees import TreeVector, parse_tree, parse_tree_vector, tree_list
+
+from conftest import STU2_POOL, CopyingLattice, lyndon_basis
 
 
 def fraction_rank(rows, cols):
@@ -392,6 +394,56 @@ def test_residue_does_not_depend_on_insertion_order():
         lat.normalize()
         residues.append(lat.reduce({0: 1}))
     assert residues == [{0: 1}, {0: 1}]
+
+
+def pivot_items(lat):
+    """The pivot rows in their order, each with its items in their order."""
+    return [(j, list(row.items())) for j, row in lat.pivot_rows.items()]
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_the_in_place_lattice_replays_the_copying_one(parity):
+    # the same pivot rows with the same key order, after add_many and after
+    # normalize, and the same residue in the same key order for the
+    # coordinates of every vector of the benchmark's stu2 pool: reduce
+    # prints that residue in its key order
+    pool = json.loads(STU2_POOL.read_text())
+    checked = 0
+    for n in range(3, 7):
+        rows = list(lyndon_rows(n, ("as", "ihx", "stu2"), parity))
+        lattices = IntLattice(math.factorial(n - 1)), CopyingLattice(math.factorial(n - 1))
+        for lat in lattices:
+            lat.add_many(rows)
+        ours, theirs = map(pivot_items, lattices)
+        assert ours == theirs, n
+        for lat in lattices:
+            lat.normalize()
+        ours, theirs = map(pivot_items, lattices)
+        assert ours == theirs, n
+        for entry in pool.get(f"{n}-{parity}", ()):
+            coords = {j: c for j, c in enumerate(entry["coords"]) if c}
+            ours, theirs = (lat.reduce(coords) for lat in lattices)
+            assert list(ours.items()) == list(theirs.items()), (n, entry["terms"])
+            checked += 1
+    assert checked == sum(len(v) for k, v in pool.items() if k.endswith(parity))
+
+
+_small_rows = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-9, 9)), max_size=10)
+
+
+@given(_small_rows, st.dictionaries(st.integers(0, 5), st.integers(-30, 30)))
+@settings(max_examples=300, deadline=None)
+def test_the_in_place_lattice_replays_the_copying_one_on_small_rows(rows, vec):
+    # small entries make the gcd steps common, which the stu2 rows seldom take
+    lattices = IntLattice(6), CopyingLattice(6)
+    for lat in lattices:
+        lat.add_many(rows)
+    assert pivot_items(lattices[0]) == pivot_items(lattices[1])
+    for lat in lattices:
+        lat.normalize()
+    assert pivot_items(lattices[0]) == pivot_items(lattices[1])
+    ours, theirs = (lat.reduce(vec) for lat in lattices)
+    assert list(ours.items()) == list(theirs.items())
 
 
 @given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(-9, 9)), max_size=8))

@@ -3,6 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itertools
+
+from jacobitrees import lie
 from jacobitrees.intlinalg import IntLattice
 from jacobitrees.lie import (
     GradedConfig,
@@ -10,7 +13,7 @@ from jacobitrees.lie import (
     NcPoly,
     expand,
     is_lyndon,
-    lyndon_basis,
+    lyndon_words,
     standard_bracketing,
     straighten,
     straighten_vector,
@@ -25,7 +28,7 @@ from jacobitrees.trees import (
     tree_list,
 )
 
-from conftest import random_tree
+from conftest import lyndon_basis, ncpoly_expand, random_tree
 
 
 def oracle_expand(t):
@@ -43,13 +46,13 @@ def oracle_expand(t):
 
 def test_expand_commutator():
     p = expand(parse_tree("[1,2]"))
-    assert p.copy_terms() == {(1, 2): 1, (2, 1): -1}
+    assert p.terms == {(1, 2): 1, (2, 1): -1}
 
 
 def test_expand_left_comb_degree3():
     # derived by hand / brute force: X1X2X3 - X2X1X3 - X3X1X2 + X3X2X1
     p = expand(parse_tree("[[1,2],3]"))
-    assert p.copy_terms() == {
+    assert p.terms == {
         (1, 2, 3): 1,
         (2, 1, 3): -1,
         (3, 1, 2): -1,
@@ -60,13 +63,13 @@ def test_expand_left_comb_degree3():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_expand_matches_oracle(n):
     for t in enumerate_trees(n):
-        assert expand(t).copy_terms() == oracle_expand(t)
+        assert expand(t).terms == oracle_expand(t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_expand_multilinear(n):
     for t in enumerate_trees(n):
-        for w in expand(t).copy_terms():
+        for w in expand(t).terms:
             assert sorted(w) == list(range(1, n + 1))
 
 
@@ -87,15 +90,15 @@ def test_graded_expand_even_matches_expand():
 def test_graded_expand_odd_degree2():
     cfg = GradedConfig(generator_degree=1)
     p = expand(parse_tree("[1,2]"), cfg=cfg)
-    assert p.copy_terms() == {(1, 2): 1, (2, 1): 1}
+    assert p.terms == {(1, 2): 1, (2, 1): 1}
 
 
 def _span_rank(polys, n):
-    words = sorted({w for p in polys for w in p.copy_terms()})
+    words = sorted({w for p in polys for w in p.terms})
     index = {w: i for i, w in enumerate(words)}
     lat = IntLattice(len(words))
     for p in polys:
-        lat.add({index[w]: c for w, c in p.copy_terms().items()})
+        lat.add({index[w]: c for w, c in p.terms.items()})
     return lat.rank
 
 
@@ -114,6 +117,73 @@ def test_lyndon_basis_counts():
         assert len(lyndon_basis(n)) == math.factorial(n - 1)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lyndon_words_are_the_sorted_multilinear_lyndon_words(n):
+    # the column order of every Lyndon row and coordinate vector, and of
+    # the basis the tests pair with bracketings
+    words = [w for w in itertools.permutations(range(1, n + 1)) if is_lyndon(w)]
+    assert list(lyndon_words(n)) == sorted(words)
+    assert [w for w, _ in lyndon_basis(n)] == list(lyndon_words(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expand_equals_the_ncpoly_recursion(n):
+    # every tree, plain and odd graded, truncated below, at and above its
+    # degree; and a vector as the sum of its terms' expansions
+    odd = GradedConfig(generator_degree=1)
+    for t in enumerate_trees(n):
+        for bound in (n - 1, n, n + 1):
+            assert expand(t, bound) == ncpoly_expand(t, bound)
+            assert expand(t, bound, cfg=odd) == ncpoly_expand(t, bound, odd=True)
+    trees = list(enumerate_trees(n))[:7]
+    v = TreeVector.from_dict({t: i - 3 for i, t in enumerate(trees)})
+    want = NcPoly(n, n)
+    for t, c in v.terms:
+        want = want + ncpoly_expand(t, n).scale(c)
+    assert expand(v) == want
+
+
+def test_coordinates_expand_only_the_bracketings_they_strip(monkeypatch, rng):
+    # a Lyndon bracketing is expanded only when the solve strips its word,
+    # that is for the nonzero coordinates: one for a basis element
+    built = []
+    bracketing = lie.standard_bracketing
+
+    def recorded(w):
+        built.append(w)
+        return bracketing(w)
+
+    monkeypatch.setattr(lie, "standard_bracketing", recorded)
+    for n in (4, 5, 6):
+        words = lyndon_words(n)
+        for w in words[::7]:
+            built.clear()
+            coords = to_lyndon_coordinates(bracketing(w), n)
+            assert [x for x in built if len(x) == n] == [w]
+            assert coords == [int(u == w) for u in words]
+        for _ in range(20):
+            t = random_tree(rng, list(range(1, n + 1)))
+            built.clear()
+            coords = to_lyndon_coordinates(t, n)
+            stripped = [x for x in built if len(x) == n]
+            assert stripped == [w for w, c in zip(words, coords) if c]
+
+
+def test_coordinates_match_straightening_on_a_sample_at_degree_6(rng):
+    words = lyndon_words(6)
+    for _ in range(300):
+        t = random_tree(rng, list(range(1, 7)))
+        s = straighten(t)
+        assert to_lyndon_coordinates(t, 6) == [s.get(w, 0) for w in words]
+
+
+def test_coordinates_refuse_a_word_outside_the_lyndon_span():
+    # the words of a degree-3 tree are too short for the degree-4 basis:
+    # the least of them is named
+    with pytest.raises(LieError, match=r"word \(1, 2, 3\)"):
+        to_lyndon_coordinates(parse_tree("[[1,2],3]"), 4)
+
+
 def test_lyndon_words_are_lyndon():
     for n in (2, 3, 4, 5):
         for w, t in lyndon_basis(n):
@@ -124,7 +194,7 @@ def test_lyndon_words_are_lyndon():
 def test_lyndon_expansion_unitriangular():
     for n in (2, 3, 4, 5):
         for w, t in lyndon_basis(n):
-            terms = expand(t).copy_terms()
+            terms = expand(t).terms
             assert terms[w] == 1
             assert min(terms) == w
 
@@ -216,7 +286,7 @@ def test_ncpoly_truncation():
     x2 = NcPoly.letter(2, 2, 2)
     p = (x1 * x2) * x1
     assert p.is_zero  # degree 3 beyond bound 2
-    assert (x1 * x2).copy_terms() == {(1, 2): 1}
+    assert (x1 * x2).terms == {(1, 2): 1}
 
 
 def test_expand_rejects_decorated():
