@@ -8,15 +8,11 @@ configs produce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import functools
-import hashlib
 import json
 import marshal
 import math
 import os
-import pathlib
 import sys
-import tempfile
 import time
 
 from . import braidlie, intlinalg, magnus, relations
@@ -35,7 +31,6 @@ from .trees import (
     tree_list,
 )
 
-CACHE_ENV = "JACOBITREES_CACHE_DIR"
 RELATION_KINDS = ("as", "ihx", "stu2")
 
 #: The largest degree each method may run at.  Exact SNF finishes at 7 too
@@ -311,67 +306,6 @@ def compute_quotient(
     )
 
 
-@functools.lru_cache(maxsize=1)
-def code_fingerprint() -> str:
-    """Hash of the package's sources: a cache entry is served only to the
-    code that computed it."""
-    digest = hashlib.sha256()
-    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
-def cache_key(**kwargs) -> str:
-    blob = json.dumps(kwargs, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def cache_load(cache_dir: str, key: str) -> SnfResult | None:
-    """The cached result, or None for a missing, unreadable or invalid entry."""
-    path = os.path.join(cache_dir, f"{key}.json")
-    try:
-        with open(path) as fh:
-            return SnfResult.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
-        return None
-
-
-def cache_store(cache_dir: str, key: str, result: SnfResult) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.json")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(result.to_json_obj(), fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def quotient_with_cache(cache_dir: str | None, n: int, kinds, parity, method) -> SnfResult:
-    """compute_quotient through the result cache in cache_dir, or else in
-    $JACOBITREES_CACHE_DIR; with neither set, no cache."""
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return compute_quotient(n, kinds, parity, method)
-    key = cache_key(
-        n=n, kinds=sorted(kinds), parity=parity, method=method, code=code_fingerprint()
-    )
-    result = cache_load(cache_dir, key)
-    # an entry of another presentation or certificate is a miss
-    cols = 1 if n == 1 else tree_count(n) if method == "snf" else math.factorial(n - 1)
-    modular = method == "modular" and n > 1
-    if result is None or (result.cols, result.probabilistic) != (cols, modular):
-        result = compute_quotient(n, kinds, parity, method)
-        try:
-            cache_store(cache_dir, key, result)
-        except OSError as exc:
-            print(f"cache not written: {exc}", file=sys.stderr)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -431,7 +365,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     method = "snf" if args.method == "auto" and args.n <= 5 else args.method
     method = pick_method(args.n, method, args.relations)
     t0 = time.time()
-    res = quotient_with_cache(args.cache_dir, args.n, args.relations, args.parity, method)
+    res = compute_quotient(args.n, args.relations, args.parity, method)
     _render_rank(args.format, args.n, method, res, time.time() - t0)
     return 0
 
@@ -450,9 +384,9 @@ TABLE_COLUMNS = (
 def table_rows(args: argparse.Namespace):
     for n in range(1, args.max_n + 1):
         method = pick_method(n, args.method, ("as", "ihx"))
-        lie_res = quotient_with_cache(args.cache_dir, n, ("as", "ihx"), None, method)
-        odd = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "odd", method)
-        even = quotient_with_cache(args.cache_dir, n, ("as", "ihx", "stu2"), "even", method)
+        lie_res = compute_quotient(n, ("as", "ihx"), None, method)
+        odd = compute_quotient(n, ("as", "ihx", "stu2"), "odd", method)
+        even = compute_quotient(n, ("as", "ihx", "stu2"), "even", method)
         yield {
             "n": n,
             "lie_rank": lie_res.free_rank,
@@ -635,13 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     relations_and_parity(p)
     p.add_argument("--method", default="auto", choices=methods)
     fmt(p)
-    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("table", help="rank table across degrees, both parities")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--method", default="auto", choices=methods)
     fmt(p)
-    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("reduce", help="normal form and zero verdict for a vector")
     p.add_argument("input_file", nargs="?", default=None)

@@ -76,15 +76,6 @@ class SnfResult:
             "probabilistic": self.probabilistic,
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SnfResult":
-        return SnfResult(
-            invariant_factors=list(obj["invariant_factors"]),
-            rank=int(obj["rank"]),
-            cols=int(obj["cols"]),
-            probabilistic=bool(obj.get("probabilistic", False)),
-        )
-
 
 class IntLattice:
     """Row-style Hermite accumulator for a sublattice of Z^n."""

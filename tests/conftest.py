@@ -1,8 +1,10 @@
 """Fixtures and the independent oracles the tests check the library against."""
 
+import itertools
 import pathlib
 import random
-from typing import Iterable, Sequence
+import time
+from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 
@@ -14,8 +16,9 @@ from jacobitrees.decorations import (
 )
 from jacobitrees.intlinalg import SnfResult, snf_from_rows
 from jacobitrees.lie import NcPoly, lyndon_words, standard_bracketing
+from jacobitrees.magnus import generator_name, magnus_expand, tree_to_word
 from jacobitrees.relations import RelationSet, as_relations, ihx_relations
-from jacobitrees.trees import Tree, TreeVector, decorate, leaf, tree_list
+from jacobitrees.trees import Tree, TreeVector, decorate, enumerate_trees, leaf, tree_list
 from jacobitrees.words import Word
 
 
@@ -37,6 +40,27 @@ def random_tree(rng: random.Random, labels: list[int]) -> Tree:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+class MagnusExpansions(NamedTuple):
+    cases: list  # (tree, its word, the word's expansion truncated at n)
+    seconds: float  # what building them took
+
+
+@pytest.fixture(scope="session")
+def magnus_expansions():
+    """Every tree through degree 5 and a fixed sample of 24 of degree 6,
+    each with the Magnus expansion of its word on x1..xn truncated at its
+    degree n, as the magnus command and magnus_agreement build it.  Built
+    once for criterion 7 and test_magnus, which check the same trees."""
+    t0 = time.time()
+    sample = random.Random(0).sample(list(tree_list(6)), 24)
+    cases = []
+    for t in itertools.chain(*map(enumerate_trees, range(1, 6)), sample):
+        word = tree_to_word(t)
+        alphabet = [generator_name(i) for i in range(1, t.degree + 1)]
+        cases.append((t, word, magnus_expand(word, t.degree, alphabet)))
+    return MagnusExpansions(cases, time.time() - t0)
 
 
 def lyndon_basis(n: int):

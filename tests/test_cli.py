@@ -8,16 +8,16 @@ import io
 import json
 import os
 import pathlib
+import select
 import signal
 import subprocess
 import sys
 import tempfile
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jacobitrees import cli, intlinalg
+from jacobitrees import braidlie, cli, intlinalg, relations
 from jacobitrees.cli import main
 from jacobitrees.trees import enumerate_trees, tree_count
 
@@ -31,9 +31,9 @@ def run_cli(capsys, *argv):
 
 
 def cli_env():
-    """The environment of a jacobitrees subprocess: this checkout, no cache."""
+    """The environment of a jacobitrees subprocess: this checkout."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
 
@@ -274,21 +274,54 @@ def test_a_reduce_failing_after_the_fork_reaps_the_child(capsys, forks, monkeypa
 
 @pytest.mark.parametrize("slow", ["child", "parent"])
 def test_the_slower_process_makes_fewer_rows(forks, monkeypatch, slow):
+    # the slow process stalls until the other one has claimed every ticket,
+    # so the split does not depend on timing: a stalled child makes only
+    # chunk 0, which is its own without a ticket, and a parent stalled
+    # before its first claim makes nothing.  The child's records of all 300
+    # rows (~30 KB) fit in the result pipe, so it never blocks on the
+    # stalled parent
     expected = list(cli.lyndon_rows(6, STU2, "odd"))
+    words = braidlie.source_words(6)
+    first = words[: -(-len(words) // cli.POOL_SHARE)]
+    vectors = len(list(relations.stu2_relations(6, "odd", words).vectors()))
+    chunk0 = len(list(relations.stu2_relations(6, "odd", first).vectors()))
     parent = os.getpid()
-    straighten = cli.straighten_vector
+    read, straighten = os.read, cli.straighten_vector
+    stall, resume = os.pipe()  # a byte once the fast process finds no ticket
+    stalled = []  # whether this process has stalled
     here = []  # the vectors this process straightened
 
-    def slowed(v, memo):
-        if (os.getpid() == parent) == (slow == "parent"):
-            time.sleep(0.002)
-        if os.getpid() == parent:
+    def wait_for_every_claim():
+        if not stalled:
+            assert select.select([stall], [], [], 60)[0], "no process took every ticket"
+            stalled.append(read(stall, 1))
+
+    def side():
+        return "parent" if os.getpid() == parent else "child"
+
+    def claiming(fd, size):
+        if size == 1 and side() == slow == "parent":
+            wait_for_every_claim()  # before the command's first claim
+        got = read(fd, size)
+        if size == 1 and not got and side() != slow:
+            os.write(resume, b"\0")
+        return got
+
+    def counted(v, memo):
+        if side() == "parent":
             here.append(v)
+        elif slow == "child":
+            wait_for_every_claim()  # before the first vector of chunk 0
         return straighten(v, memo)
 
-    monkeypatch.setattr(cli, "straighten_vector", slowed)
-    assert list(cli.lyndon_rows(6, STU2, "odd")) == expected
-    assert (len(here) > len(expected) / 2) == (slow == "child"), len(here)
+    monkeypatch.setattr(os, "read", claiming)
+    monkeypatch.setattr(cli, "straighten_vector", counted)
+    try:
+        assert list(cli.lyndon_rows(6, STU2, "odd")) == expected
+    finally:
+        os.close(stall)
+        os.close(resume)
+    assert len(here) == (vectors - chunk0 if slow == "child" else 0)
     for pid in forks:
         assert_reaped(pid)
 
@@ -571,92 +604,19 @@ def test_table_deterministic(capsys):
     assert out1 == out2
 
 
-def test_cache_hits_match_fresh(tmp_path, capsys):
-    args = (
-        "rank", "--n", "4", "--relations", "as,ihx,stu2", "--parity", "odd",
-        "--format", "json", "--cache-dir", str(tmp_path),
-    )
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert json.loads(out1) == json.loads(out2)
-    assert list(tmp_path.glob("*.json"))
-
-
-def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
-    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
-    code1, out1, _ = run_cli(capsys, *args)
-    (entry,) = tmp_path.glob("*.json")
-    text = entry.read_text()
-    entry.write_text(text[: len(text) // 2])
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out2 == out1
-    assert entry.read_text() == text  # recomputed and rewritten
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        '{"invariant_factors": [0, 1], "rank": 2, "cols": 3}',
-        '{"invariant_factors": ["1"], "rank": 1, "cols": 3}',
-        "[" * 200_000,
-        '{"invariant_factors": [1], "rank": 1, "cols": 0}',
-        '{"invariant_factors": [], "rank": 0, "cols": 7}',
-        '{"invariant_factors": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "rank": 10,'
-        ' "cols": 12, "probabilistic": true}',
-    ],
-    ids=[
-        "zero factor", "string factor", "deep nesting", "rank above cols",
-        "other cols", "probabilistic",
-    ],
-)
-def test_invalid_cache_entry_is_a_miss(tmp_path, capsys, entry):
-    args = ("rank", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
-    run_cli(capsys, *args)
-    (path,) = tmp_path.glob("*.json")
-    path.write_text(entry)
-    code, out, err = run_cli(capsys, *args)
-    assert code == 0 and not err
-    assert out == "n,rank,torsion,method,certification\n3,2,none,snf,exact over Z\n"
-
-
-def test_cache_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch):
-    computed = []
-    compute = cli.compute_quotient
-
-    def counting(*args):
-        computed.append(args)
-        return compute(*args)
-
-    monkeypatch.setattr(cli, "compute_quotient", counting)
-    # every route: the cols and certificate of its own entry match the run's
-    routes = (("--n", "3"), ("--n", "4", "--method", "lyndon"),
-              ("--n", "4", "--method", "modular"), ("--n", "1", "--method", "modular"))
-    for k, route in enumerate(routes):
-        computed.clear()
-        cache = tmp_path / str(k)
-        args = ("rank", *route, "--format", "csv", "--cache-dir", str(cache))
+def test_the_old_cache_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    # rank and table always compute: they neither read nor write the
+    # directory JACOBITREES_CACHE_DIR once named
+    for argv in (
+        ("rank", "--n", "4", "--relations", "as,ihx,stu2", "--parity", "odd",
+         "--format", "json"),
+        ("table", "--max-n", "3", "--format", "csv"),
+    ):
+        fresh = run_cli(capsys, *argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "code_fingerprint", lambda: "other code")
-            _, stale, _ = run_cli(capsys, *args)
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and out == stale
-        assert len(computed) == 2
-        assert len(list(cache.glob("*.json"))) == 2
-        run_cli(capsys, *args)
-        assert len(computed) == 2, route  # the entry of this code is a hit
-
-
-def test_unwritable_cache_dir_keeps_the_result(tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    _, fresh, _ = run_cli(capsys, "rank", "--n", "3", "--format", "csv")
-    code, out, err = run_cli(
-        capsys, "rank", "--n", "3", "--format", "csv", "--cache-dir", str(blocker / "sub")
-    )
-    assert code == 0 and out == fresh
-    assert "cache not written" in err
+            m.setenv("JACOBITREES_CACHE_DIR", str(tmp_path))
+            assert run_cli(capsys, *argv) == fresh, argv
+        assert fresh[0] == 0 and not list(tmp_path.iterdir()), argv
 
 
 def test_reduce_as_generator_is_zero(capsys):
@@ -892,7 +852,9 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys):
         ("enum", "--n", "2", "--cache-dir", "x"),
         ("enum", "--n", "2", "--seed", "1"),
         ("rank", "--n", "2", "--seed", "1"),
+        ("rank", "--n", "2", "--cache-dir", "x"),
         ("table", "--max-n", "2", "--seed", "1"),
+        ("table", "--max-n", "2", "--cache-dir", "x"),
         ("reduce", "--expr", "1*[1,2]", "--format", "json"),
         ("reduce", "--expr", "1*[1,2]", "--cache-dir", "x"),
         ("reduce", "--expr", "1*[1,2]", "--seed", "1"),
@@ -921,8 +883,8 @@ def test_json_format_rank(capsys):
 # exponent of more than words.MAX_EXPONENT is refused when parsed.
 COMMAND_FLAGS = {
     "enum": ("--n", "--format"),
-    "rank": ("--n", "--relations", "--parity", "--method", "--format", "--cache-dir"),
-    "table": ("--max-n", "--method", "--format", "--cache-dir"),
+    "rank": ("--n", "--relations", "--parity", "--method", "--format"),
+    "table": ("--max-n", "--method", "--format"),
     "reduce": ("--expr", "--relations", "--parity", "--group"),
     "magnus": ("--tree", "--truncate", "--format"),
 }
@@ -944,7 +906,6 @@ FLAG_VALUES = {
     ).map(",".join),
     "--parity": st.sampled_from(("odd", "even", "both", "")),
     "--format": st.sampled_from(("text", "json", "csv", "xml")),
-    "--cache-dir": st.sampled_from(("CACHE", "CACHE/file/sub")),
     "--group": st.sampled_from(("a,b", "b", "a,a", "1x", ",", "")),
     "--expr": TEXT,
     "--tree": TEXT,
@@ -969,9 +930,6 @@ def test_cli_only_exits_0_2_or_3(drawn):
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "file"), "w") as fh:
             fh.write(text)
-        argv = [
-            a.replace("CACHE", tmp) if a.startswith("--cache-dir=") else a for a in argv
-        ]
         argv = [os.path.join(tmp, "file") if a == "INPUT" else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()

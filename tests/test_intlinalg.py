@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobitrees import intlinalg
-from jacobitrees.cli import cache_key, cache_load, cache_store, lyndon_rows
+from jacobitrees.cli import lyndon_rows
 from jacobitrees.intlinalg import (
     DENSE_PRIMES,
     IntLattice,
@@ -506,15 +506,22 @@ def test_normal_form_saturated_double():
 
 def test_snf_result_json_roundtrip():
     res = SnfResult(invariant_factors=[1, 2, 6], rank=3, cols=5)
-    res2 = SnfResult.from_json_obj(res.to_json_obj())
-    assert res2 == res
-    assert res.free_rank == 2
-    assert res.torsion == [2, 6]
+    assert res.to_json_obj() == {
+        "invariant_factors": [1, 2, 6],
+        "rank": 3,
+        "cols": 5,
+        "free_rank": 2,
+        "torsion": [2, 6],
+        "probabilistic": False,
+    }
 
 
-def test_cache_roundtrip(tmp_path):
-    res = SnfResult(invariant_factors=[1, 1], rank=2, cols=4)
-    key = cache_key(n=3, kinds=["as"], parity=None, method="snf")
-    assert cache_load(str(tmp_path), key) is None
-    cache_store(str(tmp_path), key, res)
-    assert cache_load(str(tmp_path), key) == res
+@pytest.mark.parametrize(
+    "factors, rank, cols",
+    [([0, 1], 2, 3), (["1"], 1, 3), ([1], 1, 0), ([1, 1], 1, 3), ([2, 3], 2, 3)],
+    ids=["zero factor", "string factor", "rank above cols", "rank not factors", "no chain"],
+)
+def test_snf_result_refuses_invalid_structure(factors, rank, cols):
+    # every result an engine builds and every rank JSON line passes here
+    with pytest.raises(LinalgError):
+        SnfResult(invariant_factors=factors, rank=rank, cols=cols)

@@ -1,5 +1,3 @@
-import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from jacobitrees.magnus import (
     magnus_expand,
     tree_to_word,
 )
-from jacobitrees.trees import enumerate_trees, leaf, parse_tree, tree_list
+from jacobitrees.trees import enumerate_trees, leaf, parse_tree
 from jacobitrees.words import parse_word
 
 from conftest import random_tree
@@ -105,22 +103,19 @@ def test_random_trees_agree(rng):
         assert magnus_agreement(t)
 
 
-def test_agreement_on_the_callers_expansion():
+def test_agreement_on_the_callers_expansion(magnus_expansions):
     # the magnus command hands over its own expansion, truncated at
     # --truncate >= the degree.  On every tree through degree 5 and on
     # criterion 7's 24 trees of degree 6 it gives True, the verdict
     # criterion 7 reaches on the same trees without it (compared here too
     # below degree 5, where a second expansion is cheap), and one more word
     # of degree n - 1 or n turns it
-    sample = random.Random(0).sample(list(tree_list(6)), 24)
-    for t in itertools.chain(*map(enumerate_trees, range(1, 6)), sample):
+    for t, word, full in magnus_expansions.cases:
         n = t.degree
-        alphabet = [f"x{i}" for i in range(1, n + 1)]
-        word = tree_to_word(t)
-        full = magnus_expand(word, n, alphabet)
         assert magnus_agreement(t, full) is True
         if n < 5:
             assert magnus_agreement(t) is True
+            alphabet = [f"x{i}" for i in range(1, n + 1)]
             assert magnus_agreement(t, magnus_expand(word, n + 1, alphabet))
         for d in {max(n - 1, 1), n}:
             assert not magnus_agreement(t, full + NcPoly(n, n, {(1,) * d: 1})), (t, d)

@@ -1,5 +1,5 @@
-"""Every public name in src/ is reached by the library, a script or the
-benchmark: a name that only tests reach belongs in the tests."""
+"""Every public name in src/, constants included, is reached by the library,
+a script or the benchmark: a name that only tests reach belongs in the tests."""
 
 import ast
 import pathlib
@@ -9,10 +9,17 @@ PACKAGE = ROOT / "src" / "jacobitrees"
 
 
 def public_definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of those classes,
-    whose names do not start with "_"; methods as Class.method."""
+    """Top-level functions, classes and assigned names, and the methods of
+    those classes, whose names do not start with "_"; methods as
+    Class.method."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, name.id
         if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
             continue
         yield node.name, node.name
@@ -24,9 +31,10 @@ def public_definitions(tree: ast.Module):
 
 def references(tree: ast.Module):
     """Names a module reads, imports or gives as identifier strings (the
-    benchmark's tracer patches functions named by strings)."""
+    benchmark's tracer patches functions named by strings); assigning a
+    name does not read it."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
