@@ -513,7 +513,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
                 {
                     "tree": t.serialize(),
                     "word": str(word),
-                    "expansion": str(poly),
+                    "expansion": magnus.poly_text(poly),
                     "leading_term_agreement": ok,
                 },
                 sort_keys=True,
@@ -522,7 +522,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     else:
         print(f"tree: {t.serialize()}")
         print(f"word: {word}")
-        print(f"magnus expansion (N={truncate}): {poly}")
+        print(f"magnus expansion (N={truncate}): {magnus.poly_text(poly)}")
         print("leading-term agreement: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -137,7 +137,7 @@ class IntLattice:
         """One pass from the last pivot to the first, taking the entries above
         each pivot into [0, pivot).  A later step can move an entry already
         taken, so this is not the canonical Hermite form: reaching it changes
-        reduce's residues and waits on their re-pin (ROADMAP item 5)."""
+        reduce's residues and waits on their re-pin (ROADMAP item 1)."""
         for j in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[j]
             a = row[j]

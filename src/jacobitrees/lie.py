@@ -27,83 +27,6 @@ class LieError(ValueError):
     pass
 
 
-class NcPoly:
-    """Truncated noncommutative polynomial with integer coefficients.
-
-    terms maps words (tuples over 1..n) to nonzero integers; words longer
-    than the truncation bound are dropped on construction and in products.
-    """
-
-    __slots__ = ("n", "bound", "terms")
-
-    def __init__(self, n: int, bound: int, terms: dict[WordT, int] | None = None):
-        self.n = n
-        self.bound = bound
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c != 0 and len(w) <= bound:
-                    self.terms[w] = c
-
-    @staticmethod
-    def one(n: int, bound: int) -> "NcPoly":
-        return NcPoly(n, bound, {(): 1})
-
-    @staticmethod
-    def letter(i: int, n: int, bound: int) -> "NcPoly":
-        return NcPoly(n, bound, {(i,): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NcPoly)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NcPoly(self.n, min(self.bound, other.bound), out)
-
-    def scale(self, c: int) -> "NcPoly":
-        return NcPoly(self.n, self.bound, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other: "NcPoly") -> "NcPoly":
-        bound = min(self.bound, other.bound)
-        right = [(w2, c2, len(w2)) for w2, c2 in other.terms.items()]
-        out: dict[WordT, int] = {}
-        for w1, c1 in self.terms.items():
-            room = bound - len(w1)
-            for w2, c2, size in right:
-                if size <= room:
-                    w = w1 + w2
-                    out[w] = out.get(w, 0) + c1 * c2
-        return NcPoly(self.n, bound, out)
-
-    def homogeneous_part(self, degree: int) -> "NcPoly":
-        return NcPoly(
-            self.n, self.bound, {w: c for w, c in self.terms.items() if len(w) == degree}
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ordered = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        chunks = []
-        for w, c in ordered:
-            sign = "+" if c > 0 else "-"
-            body = " ".join(f"X{i}" for i in w) if w else "1"
-            chunks.append(f"{sign}{abs(c)}*{body}" if w else f"{sign}{abs(c)}")
-        return " ".join(chunks)
-
-
 @dataclass(frozen=True)
 class GradedConfig:
     """Loop-degree datum for graded commutator signs; only parity matters."""
@@ -121,8 +44,8 @@ class GradedConfig:
 
 @lru_cache(maxsize=200_000)
 def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
-    """expand(t) on a plain {word: coefficient} dict, shared by every caller:
-    never mutated.  An expansion is homogeneous, so concatenating the words
+    """expand(t, cfg=...) of one tree, shared by every caller: never
+    mutated.  An expansion is homogeneous, so concatenating the words
     of the two children never merges two products."""
     if t.is_leaf:
         return {(t.label,): 1}
@@ -136,10 +59,21 @@ def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _expand_terms(v: Tree | TreeVector, n: int, odd: bool) -> dict[WordT, int]:
-    """The expansion of v truncated at degree n, as a fresh dict."""
+def expand(
+    v: Tree | TreeVector, n: int | None = None, cfg: GradedConfig | None = None
+) -> dict[WordT, int]:
+    """Commutator expansion: leaf i -> Xi, graft -> xy - yx, truncated at
+    degree n (by default the degree of v), as a fresh {word: coefficient}
+    dict with no zero coefficient.
+
+    With cfg, the Koszul-signed expansion graft -> xy - (-1)^(pm*qm) yx;
+    for even generator degree the two coincide.
+    """
+    if n is None:
+        n = v.degree
     if not isinstance(v, Tree) and v.decorated:
         raise LieError("expand applies to undecorated vectors")
+    odd = cfg is not None and cfg.odd
     terms = ((v, 1),) if isinstance(v, Tree) else v.terms
     acc: dict[WordT, int] = {}
     for t, c in terms:
@@ -147,18 +81,6 @@ def _expand_terms(v: Tree | TreeVector, n: int, odd: bool) -> dict[WordT, int]:
             for w, cc in _expansion(t, odd).items():
                 acc[w] = acc.get(w, 0) + c * cc
     return {w: c for w, c in acc.items() if c}
-
-
-def expand(
-    v: Tree | TreeVector, n: int | None = None, cfg: GradedConfig | None = None
-) -> NcPoly:
-    """Commutator expansion: leaf i -> Xi, graft -> xy - yx.
-
-    With cfg, the Koszul-signed expansion graft -> xy - (-1)^(pm*qm) yx;
-    for even generator degree the two coincide.
-    """
-    nn = n if n is not None else v.degree
-    return NcPoly(nn, nn, _expand_terms(v, nn, cfg is not None and cfg.odd))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +129,7 @@ def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[in
     only the bracketings of the words stripped are expanded.
     """
     nn = n if n is not None else v.degree
-    poly = _expand_terms(v, nn, False)
+    poly = expand(v, nn)
     words = lyndon_words(nn)
     coords = [0] * len(words)
     for i, w in enumerate(words):

@@ -46,13 +46,10 @@ class Word:
         return Word(())
 
     @staticmethod
-    def generator(name: str, exponent: int = 1) -> "Word":
+    def generator(name: str) -> "Word":
         if not _GEN_RE.match(name):
             raise WordError(f"bad generator name {name!r}")
-        if exponent == 0:
-            return Word(())
-        sign = 1 if exponent > 0 else -1
-        return Word(tuple((name, sign) for _ in range(abs(exponent))))
+        return Word(((name, 1),))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(_reduce(self.letters + other.letters))

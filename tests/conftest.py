@@ -15,7 +15,7 @@ from jacobitrees.decorations import (
     decorated_normal_form,
 )
 from jacobitrees.intlinalg import SnfResult, snf_from_rows
-from jacobitrees.lie import NcPoly, lyndon_words, standard_bracketing
+from jacobitrees.lie import lyndon_words, standard_bracketing
 from jacobitrees.magnus import generator_name, magnus_expand, tree_to_word
 from jacobitrees.relations import RelationSet, as_relations, ihx_relations
 from jacobitrees.trees import Tree, TreeVector, decorate, enumerate_trees, leaf, tree_list
@@ -162,14 +162,29 @@ def decorated_rank(n: int, tuples: Sequence[Sequence[Word]]) -> SnfResult:
     return snf_from_rows(rows(), cols=len(basis_trees) * len(norm_tuples))
 
 
-def ncpoly_expand(t: Tree, n: int, odd: bool = False) -> NcPoly:
-    """The commutator expansion of t truncated at degree n, by NcPoly
-    arithmetic: lie.expand's former route, kept as its oracle."""
+def truncated_product(p: dict, q: dict, bound: int) -> dict:
+    """The product of two {word: coefficient} tensor-algebra elements, words
+    longer than bound dropped."""
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            if len(w1) + len(w2) <= bound:
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def ncpoly_expand(t: Tree, n: int, odd: bool = False) -> dict:
+    """The commutator expansion of t truncated at degree n, by an uncached
+    recursion that multiplies the truncated expansions of the children, as
+    the former NcPoly arithmetic did: lie.expand's oracle."""
     if t.is_leaf:
-        return NcPoly.letter(t.label, n, n)
+        return {(t.label,): 1} if n >= 1 else {}
     a, b = ncpoly_expand(t.left, n, odd), ncpoly_expand(t.right, n, odd)
     sign = 1 if odd and t.left.degree * t.right.degree % 2 else -1
-    return a * b + (b * a).scale(sign)
+    out = truncated_product(a, b, n)
+    for w, c in truncated_product(b, a, n).items():
+        out[w] = out.get(w, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
 
 
 class CopyingLattice:

@@ -1,5 +1,9 @@
 """Structural identities of the bracket calculus behind the stu2 families."""
 
+import os
+
+import pytest
+
 from jacobitrees import braidlie
 from jacobitrees.lie import GradedConfig, expand, to_lyndon_coordinates
 from jacobitrees.trees import TreeVector, enumerate_trees, parse_tree
@@ -26,6 +30,19 @@ def test_yang_baxter_annihilation_in_coordinates():
             v = braidlie.top_layer_vector(acc, n, model)
             coords = to_lyndon_coordinates(v, n) if not v.is_zero else [0]
             assert not any(coords), (model, a, b, z)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.skipif(
+    not os.environ.get("JACOBITREES_ACCEPT_N8"),
+    reason="n = 7 takes ~2 s; set JACOBITREES_ACCEPT_N8=1",
+))])
+def test_parities_agree_mod_2(n):
+    # the odd and even doubling images of each source word have the same
+    # support and the same |coefficients|, so the two parities' relation
+    # rows agree mod 2
+    for w in braidlie.source_words(n):
+        odd, even = (braidlie.doubling_image(w, n, model) for model in MODELS)
+        assert {t: abs(c) for t, c in odd.terms} == {t: abs(c) for t, c in even.terms}, w
 
 
 def test_top_layer_vector_reads_multilinear_top_words():
@@ -62,7 +79,7 @@ def test_koszul_sign_bridge():
     cfg = GradedConfig(generator_degree=1)
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            graded = expand(t, cfg=cfg).terms
+            graded = expand(t, cfg=cfg)
             twisted = {w: _word_sign(w) * c for w, c in graded.items()}
             seq = []
 
@@ -75,7 +92,7 @@ def test_koszul_sign_bridge():
 
             leaves(t)
             psi = _word_sign(tuple(seq))
-            plain = {w: psi * c for w, c in expand(t).terms.items()}
+            plain = {w: psi * c for w, c in expand(t).items()}
             assert twisted == plain
 
 

@@ -795,6 +795,25 @@ def test_magnus_degree3(capsys):
     assert "PASS" in out
 
 
+def test_magnus_bytes_are_pinned(capsys):
+    # every tree through degree 4 at --truncate n and n + 1, and three
+    # degree-6 shapes at 6 and 7, in text and json: one SHA-256 over all
+    # (exit code, stdout) pairs, pinned while magnus still multiplied the
+    # former NcPoly objects
+    cases = [(t.serialize(), t.degree) for n in range(1, 5) for t in enumerate_trees(n)]
+    cases += [(tree, 6) for tree in
+              ("[[[[[1,2],3],4],5],6]", "[1,[2,[3,[4,[5,6]]]]]", "[[[1,2],[3,4]],[5,6]]")]
+    digest = hashlib.sha256()
+    for tree, n in cases:
+        for k in (n, n + 1):
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(capsys, "magnus", "--tree", tree,
+                                       "--truncate", str(k), "--format", fmt)
+                digest.update(json.dumps([code, out]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "255aaf003acc950ea676c73bdb33d66d0bda50b4a4ace739c33a5adaae487579")
+
+
 def test_magnus_truncation_usage_error(capsys):
     code, _, err = run_cli(capsys, "magnus", "--tree", "[1,2]", "--truncate", "1")
     assert code == 2

@@ -10,7 +10,6 @@ from jacobitrees.intlinalg import IntLattice
 from jacobitrees.lie import (
     GradedConfig,
     LieError,
-    NcPoly,
     expand,
     is_lyndon,
     lyndon_words,
@@ -45,14 +44,12 @@ def oracle_expand(t):
 
 
 def test_expand_commutator():
-    p = expand(parse_tree("[1,2]"))
-    assert p.terms == {(1, 2): 1, (2, 1): -1}
+    assert expand(parse_tree("[1,2]")) == {(1, 2): 1, (2, 1): -1}
 
 
 def test_expand_left_comb_degree3():
     # derived by hand / brute force: X1X2X3 - X2X1X3 - X3X1X2 + X3X2X1
-    p = expand(parse_tree("[[1,2],3]"))
-    assert p.terms == {
+    assert expand(parse_tree("[[1,2],3]")) == {
         (1, 2, 3): 1,
         (2, 1, 3): -1,
         (3, 1, 2): -1,
@@ -63,13 +60,13 @@ def test_expand_left_comb_degree3():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_expand_matches_oracle(n):
     for t in enumerate_trees(n):
-        assert expand(t).terms == oracle_expand(t)
+        assert expand(t) == oracle_expand(t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_expand_multilinear(n):
     for t in enumerate_trees(n):
-        for w in expand(t).terms:
+        for w in expand(t):
             assert sorted(w) == list(range(1, n + 1))
 
 
@@ -77,7 +74,7 @@ def test_as_ihx_expand_to_zero_small():
     for n in (2, 3, 4):
         for rs in (as_relations(n), ihx_relations(n)):
             for v in rs.vectors():
-                assert expand(v).is_zero
+                assert expand(v) == {}
 
 
 def test_graded_expand_even_matches_expand():
@@ -89,16 +86,15 @@ def test_graded_expand_even_matches_expand():
 
 def test_graded_expand_odd_degree2():
     cfg = GradedConfig(generator_degree=1)
-    p = expand(parse_tree("[1,2]"), cfg=cfg)
-    assert p.terms == {(1, 2): 1, (2, 1): 1}
+    assert expand(parse_tree("[1,2]"), cfg=cfg) == {(1, 2): 1, (2, 1): 1}
 
 
 def _span_rank(polys, n):
-    words = sorted({w for p in polys for w in p.terms})
+    words = sorted({w for p in polys for w in p})
     index = {w: i for i, w in enumerate(words)}
     lat = IntLattice(len(words))
     for p in polys:
-        lat.add({index[w]: c for w, c in p.terms.items()})
+        lat.add({index[w]: c for w, c in p.items()})
     return lat.rank
 
 
@@ -137,10 +133,11 @@ def test_expand_equals_the_ncpoly_recursion(n):
             assert expand(t, bound, cfg=odd) == ncpoly_expand(t, bound, odd=True)
     trees = list(enumerate_trees(n))[:7]
     v = TreeVector.from_dict({t: i - 3 for i, t in enumerate(trees)})
-    want = NcPoly(n, n)
+    want = {}
     for t, c in v.terms:
-        want = want + ncpoly_expand(t, n).scale(c)
-    assert expand(v) == want
+        for w, cc in ncpoly_expand(t, n).items():
+            want[w] = want.get(w, 0) + c * cc
+    assert expand(v) == {w: c for w, c in want.items() if c}
 
 
 def test_coordinates_expand_only_the_bracketings_they_strip(monkeypatch, rng):
@@ -194,7 +191,7 @@ def test_lyndon_words_are_lyndon():
 def test_lyndon_expansion_unitriangular():
     for n in (2, 3, 4, 5):
         for w, t in lyndon_basis(n):
-            terms = expand(t).terms
+            terms = expand(t)
             assert terms[w] == 1
             assert min(terms) == w
 
@@ -279,14 +276,6 @@ def test_coordinates_additive(seed):
     if v.is_zero:
         return
     assert to_lyndon_coordinates(v, n) == [a + b for a, b in zip(c1, c2)]
-
-
-def test_ncpoly_truncation():
-    x1 = NcPoly.letter(1, 2, 2)
-    x2 = NcPoly.letter(2, 2, 2)
-    p = (x1 * x2) * x1
-    assert p.is_zero  # degree 3 beyond bound 2
-    assert (x1 * x2).terms == {(1, 2): 1}
 
 
 def test_expand_rejects_decorated():

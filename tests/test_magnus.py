@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobitrees.lie import NcPoly, expand
+from jacobitrees.lie import expand
 from jacobitrees.magnus import (
     MagnusError,
     magnus_agreement,
@@ -12,7 +12,7 @@ from jacobitrees.magnus import (
 from jacobitrees.trees import enumerate_trees, leaf, parse_tree
 from jacobitrees.words import parse_word
 
-from conftest import random_tree
+from conftest import random_tree, truncated_product
 
 
 def test_tree_to_word_leaf():
@@ -34,38 +34,36 @@ def test_exponent_sums_vanish(n):
     # the coefficient of Xi in the Magnus expansion is the exponent sum of xi
     alphabet = [f"x{i}" for i in range(1, n + 1)]
     for t in enumerate_trees(n):
-        assert magnus_expand(tree_to_word(t), 1, alphabet).homogeneous_part(1).is_zero
+        assert magnus_expand(tree_to_word(t), 1, alphabet) == {(): 1}
 
 
 def test_magnus_single_generator():
-    p = magnus_expand(parse_word("x1"), 3)
-    assert p.terms == {(): 1, (1,): 1}
+    assert magnus_expand(parse_word("x1"), 3, ["x1"]) == {(): 1, (1,): 1}
 
 
 def test_magnus_identity_word():
-    p = magnus_expand(parse_word("x1 x1^-1"), 4)
-    assert p.terms == {(): 1}
+    assert magnus_expand(parse_word("x1 x1^-1"), 4, ["x1"]) == {(): 1}
 
 
 def test_magnus_commutator_truncated():
-    p = magnus_expand(parse_word("x1 x2 x1^-1 x2^-1"), 2, ["x1", "x2"])
-    assert p.terms == {(): 1, (1, 2): 1, (2, 1): -1}
+    assert magnus_expand(parse_word("x1 x2 x1^-1 x2^-1"), 2, ["x1", "x2"]) == {(): 1, (1, 2): 1, (2, 1): -1}
 
 
 def test_magnus_inverse_series():
-    p = magnus_expand(parse_word("x1^-1"), 3)
-    assert p.terms == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
+    assert magnus_expand(parse_word("x1^-1"), 3, ["x1"]) == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
 
 
 def test_truncation_error():
     with pytest.raises(MagnusError):
-        magnus_expand(parse_word("x1"), 0)
+        magnus_expand(parse_word("x1"), 0, ["x1"])
+    with pytest.raises(MagnusError):
+        magnus_expand(parse_word("x2"), 2, ["x1"])
 
 
 def test_leading_term_routes_agree_degree3():
     t = parse_tree("[[1,2],3]")
     full = magnus_expand(tree_to_word(t), 3, ["x1", "x2", "x3"])
-    assert full.homogeneous_part(3) == expand(t)
+    assert {w: c for w, c in full.items() if len(w) == 3} == expand(t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -77,9 +75,9 @@ def test_agreement_exhaustive(n):
 def test_intermediate_degrees_vanish():
     t = parse_tree("[[1,2],[3,4]]")
     full = magnus_expand(tree_to_word(t), 4, [f"x{i}" for i in range(1, 5)])
-    for d in (1, 2, 3):
-        assert full.homogeneous_part(d).is_zero
-    assert full.homogeneous_part(4) == expand(t)
+    assert full.pop(()) == 1
+    assert all(len(w) == 4 for w in full)
+    assert full == expand(t)
 
 
 _rand_words = st.lists(
@@ -93,7 +91,7 @@ def test_magnus_multiplicative(u, v):
     alphabet = ["x1", "x2", "x3"]
     pu = magnus_expand(u, 4, alphabet)
     pv = magnus_expand(v, 4, alphabet)
-    assert magnus_expand(u * v, 4, alphabet) == pu * pv
+    assert magnus_expand(u * v, 4, alphabet) == truncated_product(pu, pv, 4)
 
 
 def test_random_trees_agree(rng):
@@ -118,4 +116,5 @@ def test_agreement_on_the_callers_expansion(magnus_expansions):
             alphabet = [f"x{i}" for i in range(1, n + 1)]
             assert magnus_agreement(t, magnus_expand(word, n + 1, alphabet))
         for d in {max(n - 1, 1), n}:
-            assert not magnus_agreement(t, full + NcPoly(n, n, {(1,) * d: 1})), (t, d)
+            w = (1,) * d
+            assert not magnus_agreement(t, {**full, w: full.get(w, 0) + 1}), (t, d)

@@ -57,7 +57,7 @@ def test_ihx_displayed_degree3_identity():
     t_h = parse_tree("[[3,2],1]")
     t_x = parse_tree("[2,[3,1]]")
     v = TreeVector.from_dict({t_i: 1, t_h: -1, t_x: -1})
-    assert expand(v).is_zero
+    assert expand(v) == {}
     assert not any(to_lyndon_coordinates(v, 3))
 
 
@@ -65,7 +65,7 @@ def test_ihx_displayed_degree3_identity():
 def test_as_ihx_expand_to_zero(n):
     for rs in (as_relations(n), ihx_relations(n)):
         for v in rs.vectors():
-            assert expand(v).is_zero
+            assert expand(v) == {}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
