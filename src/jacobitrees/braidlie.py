@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import lru_cache
-from typing import Callable, Iterable
 
+from ._value import _set, _Value
 from .lie import is_lyndon, standard_factorization
 from .trees import Tree, TreeVector, leaf
 
@@ -48,14 +48,21 @@ Element = dict[Mono, int]
 Items = tuple[tuple[Mono, int], ...]
 
 
-@dataclass(frozen=True)
-class BraidModel:
-    sigma: int   # sign of p(a,b) -> p(b,a)
-    gamma: int   # generator parity: 0 ungraded, 1 odd
+class BraidModel(_Value):
+    """sigma: the sign of p(a,b) -> p(b,a); gamma: the generator parity,
+    0 ungraded, 1 odd."""
 
-    def __post_init__(self):
-        if self.sigma * (-1) ** self.gamma != 1:
+    __slots__ = ("sigma", "gamma")
+
+    def __init__(self, sigma: int, gamma: int):
+        if sigma * (-1) ** gamma != 1:
             raise ValueError("inconsistent model: need sigma*(-1)^gamma == 1")
+        _set(self, "sigma", sigma)
+        _set(self, "gamma", gamma)
+
+    def __hash__(self) -> int:
+        # the key of _calculus on every doubling: as cheap as a tuple's hash
+        return hash((self.sigma, self.gamma))
 
 
 MODEL_ODD_DIM = BraidModel(sigma=-1, gamma=1)

@@ -431,7 +431,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except TreeError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     n = vec.degree
-    group = GroupSpec(args.group or ("a", "b"))  # validated for every input
+    # validated for every input; a, b only when --group is absent
+    group = GroupSpec(("a", "b") if args.group is None else args.group)
     if not lie_quotient(args.relations):
         raise UsageError("reduce works in Lie(n): relations must include as,ihx")
     # the degree cap of the route that runs, before any work: the stu2
@@ -580,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", default=None)
     relations_and_parity(p)
     p.add_argument(
-        "--group", type=_names, default=(), help="comma-separated generator names"
+        "--group", type=_names, default=None, help="comma-separated generator names"
     )
 
     p = sub.add_parser("magnus", help="tree word, Magnus expansion, agreement check")

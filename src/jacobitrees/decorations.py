@@ -8,8 +8,7 @@ of each undecorated piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import _set, _Value
 from .lie import to_lyndon_coordinates
 from .trees import DecoratedTree, Tree, TreeVector
 from .words import _GEN_RE, Word
@@ -19,34 +18,32 @@ class DecorationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Value):
     """A finitely generated free group, named generators."""
 
-    generators: tuple[str, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[str, ...]):
+        if not generators:
             raise DecorationError("group needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise DecorationError("generator names must be distinct")
-        for g in self.generators:
+        for g in generators:
             if not _GEN_RE.match(g):
                 raise DecorationError(f"bad generator name {g!r}")
+        _set(self, "generators", generators)
 
 
-@dataclass(frozen=True)
-class DecoratedVector:
+class DecoratedVector(_Value):
     """A decorated TreeVector over a declared free group."""
 
-    vector: TreeVector
-    group: GroupSpec
+    __slots__ = ("vector", "group")
 
-    def __post_init__(self):
-        if not self.vector.decorated:
+    def __init__(self, vector: TreeVector, group: GroupSpec):
+        if not vector.decorated:
             raise DecorationError("vector must be in decorated mode")
-        allowed = set(self.group.generators)
-        for t, _ in self.vector.terms:
+        allowed = set(group.generators)
+        for t, _ in vector.terms:
             for _, w in t.decorations:
                 unknown = w.generators() - allowed
                 if unknown:
@@ -54,6 +51,8 @@ class DecoratedVector:
                         f"decoration uses generators {sorted(unknown)} "
                         f"outside the group"
                     )
+        _set(self, "vector", vector)
+        _set(self, "group", group)
 
 
 def _tuple_of(t: DecoratedTree) -> tuple[Word, ...]:

@@ -14,9 +14,9 @@ while p^2 * cols < 2^53.  Everything is deterministic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._value import _Value
 from .trees import Tree, TreeVector
 
 class LinalgError(ValueError):
@@ -38,25 +38,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass
-class SnfResult:
+class SnfResult(_Value, frozen=False):
     """Invariant factors and cokernel structure of an integer matrix."""
 
-    invariant_factors: list[int]
-    rank: int
-    cols: int
-    probabilistic: bool = False
+    __slots__ = ("invariant_factors", "rank", "cols", "probabilistic")
 
-    def __post_init__(self):
-        if self.rank != len(self.invariant_factors):
+    def __init__(
+        self, invariant_factors: list[int], rank: int, cols: int,
+        probabilistic: bool = False,
+    ):
+        if rank != len(invariant_factors):
             raise LinalgError("rank must equal the number of invariant factors")
-        if self.rank > self.cols:
+        if rank > cols:
             raise LinalgError("rank must not exceed the number of columns")
-        if not all(type(d) is int and d >= 1 for d in self.invariant_factors):
+        if not all(type(d) is int and d >= 1 for d in invariant_factors):
             raise LinalgError("invariant factors must be integers >= 1")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise LinalgError("invariant factors must form a divisibility chain")
+        self.invariant_factors = invariant_factors
+        self.rank = rank
+        self.cols = cols
+        self.probabilistic = probabilistic
 
     @property
     def free_rank(self) -> int:

@@ -15,9 +15,9 @@ relations exhausts the kernel of expansion over the integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import _set, _Value
 from .trees import Tree, TreeVector, graft, leaf
 
 WordT = tuple[int, ...]
@@ -27,15 +27,15 @@ class LieError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedConfig:
+class GradedConfig(_Value):
     """Loop-degree datum for graded commutator signs; only parity matters."""
 
-    generator_degree: int
+    __slots__ = ("generator_degree",)
 
-    def __post_init__(self):
-        if self.generator_degree < 0:
+    def __init__(self, generator_degree: int):
+        if generator_degree < 0:
             raise LieError("generator degree must be >= 0")
+        _set(self, "generator_degree", generator_degree)
 
     @property
     def odd(self) -> bool:

@@ -28,19 +28,21 @@ n = 1..6, and 8 for n = 7 odd) pin this transcription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import braidlie
+from ._value import _Value
 from .trees import Tree, TreeVector, enumerate_trees
 
 
-@dataclass
-class RelationSet:
+class RelationSet(_Value, frozen=False):
     """A re-iterable family of homogeneous relation vectors."""
 
-    degree: int
-    producer: Callable[[], Iterator[TreeVector]]
+    __slots__ = ("degree", "producer")
+
+    def __init__(self, degree: int, producer: Callable[[], Iterator[TreeVector]]):
+        self.degree = degree
+        self.producer = producer
 
     def vectors(self) -> Iterator[TreeVector]:
         return self.producer()

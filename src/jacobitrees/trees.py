@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from itertools import repeat
 
+from ._value import _set, _Value
 from .words import Word, parse_word
 
 #: Largest degree enumerate_trees will serve, and the desk cap of every CLI
@@ -39,10 +40,7 @@ class TreeError(ValueError):
     """Domain error for tree construction and parsing."""
 
 
-_set = object.__setattr__
-
-
-class Tree:
+class Tree(_Value):
     """A leaf (label set, children None) or an internal node (label None).
 
     Immutable.  A node stores its degree and canonical serialisation, both
@@ -72,12 +70,6 @@ class Tree:
         _set(self, "right", right)
         _set(self, "degree", degree)
         _set(self, "_key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Tree is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if isinstance(other, Tree):
@@ -128,20 +120,21 @@ def graft(t1: Tree, t2: Tree) -> Tree:
     return Tree(label=None, left=t1, right=t2)
 
 
-@dataclass(frozen=True, slots=True)
-class DecoratedTree:
-    """A tree whose i-th leaf carries a reduced free-group word."""
+class DecoratedTree(_Value):
+    """A tree whose i-th leaf carries a reduced free-group word; the
+    decorations are (label, word) pairs sorted by leaf label."""
 
-    tree: Tree
-    decorations: tuple[tuple[int, Word], ...]  # sorted by leaf label
+    __slots__ = ("tree", "decorations")
 
-    def __post_init__(self):
-        labels = sorted(self.tree.labels())
-        deco_labels = [k for k, _ in self.decorations]
+    def __init__(self, tree: Tree, decorations: tuple[tuple[int, Word], ...]):
+        labels = sorted(tree.labels())
+        deco_labels = [k for k, _ in decorations]
         if deco_labels != labels:
             raise TreeError(
                 f"decorations must cover leaf labels {labels}, got {deco_labels}"
             )
+        _set(self, "tree", tree)
+        _set(self, "decorations", decorations)
 
     @property
     def degree(self) -> int:
@@ -169,7 +162,7 @@ def decorate(tree: Tree, decorations: Mapping[int, Word]) -> DecoratedTree:
     return DecoratedTree(tree=tree, decorations=items)
 
 
-AnyTree = Union[Tree, DecoratedTree]
+AnyTree = Tree | DecoratedTree
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +176,27 @@ def tree_count(n: int) -> int:
     return math.factorial(2 * n - 2) // math.factorial(n - 1)
 
 
+def _left_key(pair: tuple[Tree, tuple[int, ...]]) -> str:
+    return pair[0]._key
+
+
 def _stream_over(labels: tuple[int, ...]) -> Iterator[Tree]:
-    """All planar binary trees on `labels`, lazily, ordered by serialisation."""
+    """All planar binary trees on the sorted `labels`, lazily, ordered by
+    serialisation."""
     if len(labels) == 1:
         yield leaf(labels[0])
         return
-    label_set = set(labels)
+    m = len(labels)
 
-    def left_streams() -> Iterator[Iterator[Tree]]:
-        # proper nonempty subsets as left-label sets, one sorted stream each
-        items = sorted(label_set)
-        m = len(items)
+    def left_streams() -> Iterator[Iterator[tuple[Tree, tuple[int, ...]]]]:
+        # proper nonempty subsets as left-label sets, one sorted stream each,
+        # every left tree paired with the labels left for the right subtree
         for mask in range(1, (1 << m) - 1):
-            yield _stream_over(tuple(items[i] for i in range(m) if mask >> i & 1))
+            left = tuple(labels[i] for i in range(m) if mask >> i & 1)
+            rest = tuple(labels[i] for i in range(m) if not mask >> i & 1)
+            yield zip(_stream_over(left), repeat(rest))
 
-    for lt in heapq.merge(*left_streams(), key=Tree.serialize):
-        rest = tuple(sorted(label_set - lt.labels()))
+    for lt, rest in heapq.merge(*left_streams(), key=_left_key):
         for rt in _stream_over(rest):
             yield Tree(label=None, left=lt, right=rt)
 
@@ -325,17 +323,21 @@ def parse_tree(text: str) -> AnyTree:
 # integer linear combinations of trees
 
 
-@dataclass(frozen=True)
-class TreeVector:
+class TreeVector(_Value):
     """Formal Z-linear combination of trees of one common degree.
 
     All terms are Tree or all are DecoratedTree; zero coefficients are never
     stored.  Instances are immutable.
     """
 
-    terms: tuple[tuple[AnyTree, int], ...]
-    degree: int
-    decorated: bool
+    __slots__ = ("terms", "degree", "decorated")
+
+    def __init__(
+        self, terms: tuple[tuple[AnyTree, int], ...], degree: int, decorated: bool
+    ):
+        _set(self, "terms", terms)
+        _set(self, "degree", degree)
+        _set(self, "decorated", decorated)
 
     @staticmethod
     def from_dict(d: Mapping[AnyTree, int]) -> "TreeVector":

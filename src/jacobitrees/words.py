@@ -9,8 +9,9 @@ pairs.  The empty string (or "1") is the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from ._value import _set, _Value
 
 _GEN_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -35,11 +36,13 @@ def _reduce(letters: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Value):
     """A freely reduced word; letters are (generator, ±1) pairs."""
 
-    letters: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()):
+        _set(self, "letters", letters)
 
     @staticmethod
     def identity() -> "Word":

@@ -441,16 +441,21 @@ def test_one_cpu_and_a_failing_fork_give_the_same_rows(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_heavy_module():
-    # each would add its import time to every command's start-up
+    # each would add its import time to every command's start-up; -S leaves
+    # out site, which on some installs imports typing before the CLI does
+    heavy = {"numpy", "pickle", "multiprocessing", "dataclasses", "inspect", "typing"}
     code = (
-        "import sys, jacobitrees.cli\n"
-        "print(sorted({'numpy', 'pickle', 'multiprocessing'} & set(sys.modules)))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import jacobitrees.cli\n"
+        f"print(sorted(set({sorted(heavy)}) & (set(sys.modules) - before)))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
-        check=True,
-    )
-    assert proc.stdout == "[]\n"
+    for flags in ((), ("-S",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=cli_env(), capture_output=True,
+            text=True, check=True,
+        )
+        assert proc.stdout == "[]\n", flags
 
 
 def test_lyndon_rows_straighten_each_distinct_tree_once_per_call(monkeypatch):
@@ -735,6 +740,14 @@ def test_reduce_group_names_follow_the_word_grammar(capsys):
         code, out, err = run_cli(capsys, "reduce", "--expr", expr, "--group", group)
         assert code == 2 and not out, group
         assert "generator" in err, group
+
+
+def test_reduce_an_empty_group_is_a_usage_error(capsys):
+    # only an absent --group means the default group a, b
+    for group in (",", ""):
+        code, out, err = run_cli(capsys, "reduce", "--expr", "[1{a},2{b}]", "--group", group)
+        assert code == 2 and not out, group
+        assert "group needs at least one generator" in err, group
 
 
 def test_reduce_decorated_unknown_generator(capsys):

@@ -47,11 +47,11 @@ def test_enumeration_matches_brute_force(n):
     assert len(ours) == tree_count(n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_enumeration_sorted_no_duplicates(n):
     serials = [t.serialize() for t in enumerate_trees(n)]
     assert serials == sorted(serials)
-    assert len(serials) == len(set(serials))
+    assert len(serials) == len(set(serials)) == tree_count(n)
 
 
 def test_enumeration_cap_error():
