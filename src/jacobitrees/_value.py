@@ -9,17 +9,13 @@ class _Value:
     """Equality, hash, repr and pickling by the fields named in __slots__,
     which a subclass's __init__ takes in that order.
 
-    Fields are read-only: __init__ stores them with _set.  A subclass
-    declared with frozen=False can be assigned to and is not hashable.
+    Fields are read-only: __init__ stores them with _set.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

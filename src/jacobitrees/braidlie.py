@@ -60,10 +60,6 @@ class BraidModel(_Value):
         _set(self, "sigma", sigma)
         _set(self, "gamma", gamma)
 
-    def __hash__(self) -> int:
-        # the key of _calculus on every doubling: as cheap as a tuple's hash
-        return hash((self.sigma, self.gamma))
-
 
 MODEL_ODD_DIM = BraidModel(sigma=-1, gamma=1)
 MODEL_EVEN_DIM = BraidModel(sigma=+1, gamma=0)

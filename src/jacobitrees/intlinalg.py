@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
-from ._value import _Value
+from ._value import _set, _Value
 from .trees import Tree, TreeVector
 
 class LinalgError(ValueError):
@@ -38,7 +38,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-class SnfResult(_Value, frozen=False):
+class SnfResult(_Value):
     """Invariant factors and cokernel structure of an integer matrix."""
 
     __slots__ = ("invariant_factors", "rank", "cols", "probabilistic")
@@ -56,10 +56,10 @@ class SnfResult(_Value, frozen=False):
         for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise LinalgError("invariant factors must form a divisibility chain")
-        self.invariant_factors = invariant_factors
-        self.rank = rank
-        self.cols = cols
-        self.probabilistic = probabilistic
+        _set(self, "invariant_factors", invariant_factors)
+        _set(self, "rank", rank)
+        _set(self, "cols", cols)
+        _set(self, "probabilistic", probabilistic)
 
     @property
     def free_rank(self) -> int:

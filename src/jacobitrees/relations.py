@@ -31,11 +31,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import braidlie
-from ._value import _Value
 from .trees import Tree, TreeVector, enumerate_trees
 
 
-class RelationSet(_Value, frozen=False):
+class RelationSet:
     """A re-iterable family of homogeneous relation vectors."""
 
     __slots__ = ("degree", "producer")

@@ -40,7 +40,7 @@ class TreeError(ValueError):
     """Domain error for tree construction and parsing."""
 
 
-class Tree(_Value):
+class Tree:
     """A leaf (label set, children None) or an internal node (label None).
 
     Immutable.  A node stores its degree and canonical serialisation, both
@@ -70,6 +70,12 @@ class Tree(_Value):
         _set(self, "right", right)
         _set(self, "degree", degree)
         _set(self, "_key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Tree is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if isinstance(other, Tree):
