@@ -7,13 +7,12 @@ configs produce byte-identical CSV/JSON.
 
 from __future__ import annotations
 
-import argparse
-import json
 import marshal
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import braidlie, intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
@@ -310,12 +309,13 @@ def compute_quotient(
 # subcommands
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
+def cmd_enum(args: SimpleNamespace) -> int:
     n = args.n
     pick_method(n, "auto", ("as", "ihx"))  # the degree range every command accepts
     stream = enumerate_trees(n)
     count = tree_count(n)
     if args.format == "json":
+        import json
         # the bytes of json.dumps({"n", "count", "trees"}), written tree by tree
         print(f'{{"n": {n}, "count": {count}, "trees": [', end="")
         for i, t in enumerate(stream):
@@ -343,6 +343,7 @@ def torsion_text(res: SnfResult) -> str:
 def _render_rank(fmt: str, n: int, method: str, res: SnfResult, dt: float) -> None:
     torsion = torsion_text(res)
     if fmt == "json":
+        import json
         obj = res.to_json_obj()
         obj.update({"n": n, "method": method, "certification": certification(method)})
         print(json.dumps(obj, sort_keys=True))
@@ -358,7 +359,7 @@ def _render_rank(fmt: str, n: int, method: str, res: SnfResult, dt: float) -> No
         print(f"wall time = {dt:.3f}s")
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: SimpleNamespace) -> int:
     # through n = 5 rank keeps auto on the full tree basis: it prints that
     # presentation's cols, rank and invariant factors, and perfbench traces
     # the tree-basis layers through it
@@ -381,7 +382,7 @@ TABLE_COLUMNS = (
 )
 
 
-def table_rows(args: argparse.Namespace):
+def table_rows(args: SimpleNamespace):
     for n in range(1, args.max_n + 1):
         method = pick_method(n, args.method, ("as", "ihx"))
         lie_res = compute_quotient(n, ("as", "ihx"), None, method)
@@ -398,10 +399,11 @@ def table_rows(args: argparse.Namespace):
         }
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     pick_method(args.max_n, args.method, ("as", "ihx"))  # every degree's cap, before any work
     rows = list(table_rows(args))
     if args.format == "json":
+        import json
         print(json.dumps(rows, sort_keys=True))
         return 0
     if args.format == "csv":
@@ -416,7 +418,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: SimpleNamespace) -> int:
     text = args.expr
     if args.input_file:
         try:
@@ -488,7 +490,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_magnus(args: argparse.Namespace) -> int:
+def cmd_magnus(args: SimpleNamespace) -> int:
     truncate = args.truncate
     try:
         t = parse_tree(args.tree)
@@ -509,17 +511,10 @@ def cmd_magnus(args: argparse.Namespace) -> int:
     poly = magnus.magnus_expand(word, truncate, alphabet)
     ok = magnus.magnus_agreement(t, poly)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "tree": t.serialize(),
-                    "word": str(word),
-                    "expansion": magnus.poly_text(poly),
-                    "leading_term_agreement": ok,
-                },
-                sort_keys=True,
-            )
-        )
+        import json
+        obj = {"tree": t.serialize(), "word": str(word),
+               "expansion": magnus.poly_text(poly), "leading_term_agreement": ok}
+        print(json.dumps(obj, sort_keys=True))
     else:
         print(f"tree: {t.serialize()}")
         print(f"word: {word}")
@@ -540,77 +535,103 @@ def _relation_kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(k.lower() for k in _names(text))
     for k in kinds:
         if k not in RELATION_KINDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown relation kind {k!r} (expected {', '.join(RELATION_KINDS)})"
-            )
+            expected = ", ".join(RELATION_KINDS)
+            raise UsageError(f"unknown relation kind {k!r} (expected {expected})")
     return kinds
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jacobitrees",
-        description="Exact integer computations for tree groups and their quotients",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    methods = ("auto", *METHOD_CAPS)
+REQUIRED = object()
+FORMATS = ("text", "json", "csv")
+METHODS = ("auto", *METHOD_CAPS)
 
-    def fmt(p, choices=("text", "json", "csv")):
-        p.add_argument("--format", default="text", choices=choices)
-
-    def relations_and_parity(p):
-        p.add_argument("--relations", type=_relation_kinds, default="as,ihx")
-        p.add_argument("--parity", default=None, choices=("odd", "even"))
-
-    p = sub.add_parser("enum", help="list Tree(n), count first")
-    p.add_argument("--n", type=int, required=True)
-    fmt(p)
-
-    p = sub.add_parser("rank", help="rank/torsion of Z[Tree(n)] modulo relations")
-    p.add_argument("--n", type=int, required=True)
-    relations_and_parity(p)
-    p.add_argument("--method", default="auto", choices=methods)
-    fmt(p)
-
-    p = sub.add_parser("table", help="rank table across degrees, both parities")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=methods)
-    fmt(p)
-
-    p = sub.add_parser("reduce", help="normal form and zero verdict for a vector")
-    p.add_argument("input_file", nargs="?", default=None)
-    p.add_argument("--expr", default=None)
-    relations_and_parity(p)
-    p.add_argument(
-        "--group", type=_names, default=None, help="comma-separated generator names"
-    )
-
-    p = sub.add_parser("magnus", help="tree word, Magnus expansion, agreement check")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--truncate", type=int, required=True)
-    fmt(p, choices=("text", "json"))
-
-    return parser
-
-
+#: Each command: its function, its help line, the attribute of its one
+#: optional positional argument (or None) and its flags, flag -> (converter
+#: or tuple of choices, default or REQUIRED).  A flag sets the attribute
+#: named by it without the dashes, "-" read as "_": --max-n sets max_n.
 COMMANDS = {
-    "enum": cmd_enum,
-    "rank": cmd_rank,
-    "table": cmd_table,
-    "reduce": cmd_reduce,
-    "magnus": cmd_magnus,
+    "enum": (cmd_enum, "list Tree(n), count first", None, {
+        "--n": (int, REQUIRED), "--format": (FORMATS, "text")}),
+    "rank": (cmd_rank, "rank/torsion of Z[Tree(n)] modulo relations", None, {
+        "--n": (int, REQUIRED), "--relations": (_relation_kinds, ("as", "ihx")),
+        "--parity": (("odd", "even"), None), "--method": (METHODS, "auto"),
+        "--format": (FORMATS, "text")}),
+    "table": (cmd_table, "rank table across degrees, both parities", None, {
+        "--max-n": (int, REQUIRED), "--method": (METHODS, "auto"),
+        "--format": (FORMATS, "text")}),
+    "reduce": (cmd_reduce, "normal form and zero verdict for a vector", "input_file", {
+        "--expr": (str, None), "--relations": (_relation_kinds, ("as", "ihx")),
+        "--parity": (("odd", "even"), None), "--group": (_names, None)}),
+    "magnus": (cmd_magnus, "tree word, Magnus expansion, agreement check", None, {
+        "--tree": (str, REQUIRED), "--truncate": (int, REQUIRED),
+        "--format": (("text", "json"), "text")}),
 }
 
 
+def usage(command: str | None) -> str:
+    """The usage of command, or of every command if None, read from COMMANDS."""
+    lines = []
+    for name, (_, text, positional, flags) in COMMANDS.items():
+        if command in (None, name):
+            words = [f"[{positional.upper()}]"] if positional else []
+            for flag, (kind, default) in flags.items():
+                value = "|".join(kind) if isinstance(kind, tuple) else flag[2:].upper()
+                words.append(f"{flag} {value}" if default is REQUIRED else f"[{flag} {value}]")
+            lines += [f"usage: jacobitrees {name} {' '.join(words)}", f"  {text}"]
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of argv: command, its flags' and positional's attributes.
+    A value is "--flag=value" or the next token, whatever it is; the last of
+    a repeated flag wins.  -h or --help prints the usage and returns None."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(usage(None))
+        return None
+    if command not in COMMANDS:
+        said = "missing command" if command is None else f"unknown command {command!r}"
+        raise UsageError(f"{said} (expected one of {', '.join(COMMANDS)})")
+    _, _, positional, flags = COMMANDS[command]
+    values = {flag: default for flag, (_, default) in flags.items()}
+    rest = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(usage(command))
+            return None
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise UsageError(f"{command} takes no flag {flag}")
+        if not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        kind = flags[flag][0]
+        if isinstance(kind, tuple) and text not in kind:
+            raise UsageError(f"{flag} takes one of {', '.join(kind)}, not {text!r}")
+        try:
+            values[flag] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError:  # int is the one converter that raises it
+            raise UsageError(f"{flag} takes an integer, not {text!r}") from None
+    if missing := [flag for flag, value in values.items() if value is REQUIRED]:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    if len(rest) > (positional is not None):
+        raise UsageError(f"{command} takes no argument {rest[-1]!r}")
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    if positional:
+        args[positional] = rest[0] if rest else None
+    return SimpleNamespace(command=command, **args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # the help was asked for and printed
+            return 0
         if "stu2" in getattr(args, "relations", ()) and args.parity is None:
             raise UsageError("stu2 relations require --parity odd|even")
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (UsageError, TreeError, DecorationError, WordError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

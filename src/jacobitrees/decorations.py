@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._value import _set, _Value
 from .lie import to_lyndon_coordinates
 from .trees import DecoratedTree, Tree, TreeVector
-from .words import _GEN_RE, Word
+from .words import Word, is_generator_name
 
 
 class DecorationError(ValueError):
@@ -29,7 +29,7 @@ class GroupSpec(_Value):
         if len(set(generators)) != len(generators):
             raise DecorationError("generator names must be distinct")
         for g in generators:
-            if not _GEN_RE.match(g):
+            if not is_generator_name(g):
                 raise DecorationError(f"bad generator name {g!r}")
         _set(self, "generators", generators)
 

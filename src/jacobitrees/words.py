@@ -8,16 +8,18 @@ pairs.  The empty string (or "1") is the identity.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 
 from ._value import _set, _Value
 
-_GEN_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-
 #: A word is stored letter by letter, so a parsed exponent costs its size
 #: in memory; "a^99999999" must be refused, not expanded.
 MAX_EXPONENT = 10_000
+
+
+def is_generator_name(name: str) -> bool:
+    """Whether name is ASCII letters, digits and _, not led by a digit."""
+    return name.isascii() and name.isidentifier()
 
 
 class WordError(ValueError):
@@ -50,7 +52,7 @@ class Word(_Value):
 
     @staticmethod
     def generator(name: str) -> "Word":
-        if not _GEN_RE.match(name):
+        if not is_generator_name(name):
             raise WordError(f"bad generator name {name!r}")
         return Word(((name, 1),))
 
@@ -90,7 +92,7 @@ def parse_word(text: str) -> Word:
     letters: list[tuple[str, int]] = []
     for token in text.split():
         name, caret, exp_s = token.partition("^")
-        if not _GEN_RE.match(name):
+        if not is_generator_name(name):
             raise WordError(f"bad generator name {name!r}")
         if caret:
             try:

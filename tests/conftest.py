@@ -1,5 +1,6 @@
 """Fixtures and the independent oracles the tests check the library against."""
 
+import argparse
 import itertools
 import pathlib
 import random
@@ -8,6 +9,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 
+from jacobitrees.cli import METHOD_CAPS, RELATION_KINDS, _names
 from jacobitrees.decorations import (
     DecorationError,
     DecoratedVector,
@@ -268,3 +270,63 @@ def _row_comb(r1, c1, r2, c2):
         else:
             out.pop(c, None)
     return out
+
+
+# The argparse parser the CLI had before its flag tables: the reference that
+# cli.parse_args must agree with on every valid argv.
+
+
+def _relation_kinds(text: str) -> tuple[str, ...]:
+    kinds = tuple(k.lower() for k in _names(text))
+    for k in kinds:
+        if k not in RELATION_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown relation kind {k!r} (expected {', '.join(RELATION_KINDS)})"
+            )
+    return kinds
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jacobitrees",
+        description="Exact integer computations for tree groups and their quotients",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    methods = ("auto", *METHOD_CAPS)
+
+    def fmt(p, choices=("text", "json", "csv")):
+        p.add_argument("--format", default="text", choices=choices)
+
+    def relations_and_parity(p):
+        p.add_argument("--relations", type=_relation_kinds, default="as,ihx")
+        p.add_argument("--parity", default=None, choices=("odd", "even"))
+
+    p = sub.add_parser("enum", help="list Tree(n), count first")
+    p.add_argument("--n", type=int, required=True)
+    fmt(p)
+
+    p = sub.add_parser("rank", help="rank/torsion of Z[Tree(n)] modulo relations")
+    p.add_argument("--n", type=int, required=True)
+    relations_and_parity(p)
+    p.add_argument("--method", default="auto", choices=methods)
+    fmt(p)
+
+    p = sub.add_parser("table", help="rank table across degrees, both parities")
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--method", default="auto", choices=methods)
+    fmt(p)
+
+    p = sub.add_parser("reduce", help="normal form and zero verdict for a vector")
+    p.add_argument("input_file", nargs="?", default=None)
+    p.add_argument("--expr", default=None)
+    relations_and_parity(p)
+    p.add_argument(
+        "--group", type=_names, default=None, help="comma-separated generator names"
+    )
+
+    p = sub.add_parser("magnus", help="tree word, Magnus expansion, agreement check")
+    p.add_argument("--tree", required=True)
+    p.add_argument("--truncate", type=int, required=True)
+    fmt(p, choices=("text", "json"))
+
+    return parser

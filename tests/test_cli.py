@@ -8,6 +8,8 @@ import io
 import json
 import os
 import pathlib
+import random
+import re
 import select
 import signal
 import subprocess
@@ -21,7 +23,7 @@ from jacobitrees import braidlie, cli, intlinalg, relations
 from jacobitrees.cli import main
 from jacobitrees.trees import enumerate_trees, tree_count
 
-from conftest import STU2_POOL
+from conftest import STU2_POOL, build_parser
 
 
 def run_cli(capsys, *argv):
@@ -442,8 +444,9 @@ def test_one_cpu_and_a_failing_fork_give_the_same_rows(monkeypatch):
 
 def test_importing_the_cli_loads_no_heavy_module():
     # each would add its import time to every command's start-up; -S leaves
-    # out site, which on some installs imports typing before the CLI does
-    heavy = {"numpy", "pickle", "multiprocessing", "dataclasses", "inspect", "typing"}
+    # out site, which on some installs imports typing or re before the CLI does
+    heavy = {"numpy", "pickle", "multiprocessing", "dataclasses", "inspect", "typing",
+             "argparse", "gettext", "locale", "json", "re"}
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -968,3 +971,124 @@ def test_cli_only_exits_0_2_or_3(drawn):
         ):
             code = main(argv)
     assert code in (0, 2, 3), argv
+
+
+# Values of each flag that both parsers accept; magnus takes --format text
+# or json only.  A value led by "-" is written --flag=value, the one form in
+# which argparse takes it.
+VALID_VALUES = {
+    "--n": ("1", "4", "0", "-2", "+7"),
+    "--max-n": ("1", "6", "-1"),
+    "--truncate": ("3", "0", "12"),
+    "--method": ("auto", "snf", "lyndon", "modular"),
+    "--format": ("text", "json", "csv"),
+    "--relations": ("as,ihx", "AS,Ihx,stu2", "stu2", "", " as , ihx ,"),
+    "--parity": ("odd", "even"),
+    "--group": ("a,b", "x1", ",", " a , b "),
+    "--expr": ("1*[1,2] 1*[2,1]", "[1{a b},2]", "-1*[1,2]", "a=b", "", "--help"),
+    "--tree": ("[[1,2],3]", "-x", "t=1", ""),
+}
+REQUIRED_FLAGS = {"--n", "--max-n", "--tree", "--truncate"}
+
+
+def valid_argv(rng, command):
+    """Every required flag of command and some optional ones, in shuffled
+    order, each as --flag value or --flag=value, one of them repeated."""
+    flags = [f for f in COMMAND_FLAGS[command] if f in REQUIRED_FLAGS or rng.random() < 0.6]
+    flags += rng.sample(flags, min(1, len(flags)))
+    rng.shuffle(flags)
+    tokens = []
+    for flag in flags:
+        values = VALID_VALUES[flag][:2] if (command, flag) == ("magnus", "--format") \
+            else VALID_VALUES[flag]
+        value = rng.choice(values)
+        tokens.append([f"{flag}={value}"] if value.startswith("-") or rng.random() < 0.5
+                      else [flag, value])
+    if command == "reduce" and rng.random() < 0.5:
+        tokens.insert(rng.randrange(len(tokens) + 1), [rng.choice(("vec.txt", ""))])
+    return [command, *(t for pair in tokens for t in pair)]
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_the_flag_tables_parse_as_argparse_did(command):
+    rng = random.Random(command)
+    for _ in range(200):
+        argv = valid_argv(rng, command)
+        assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+INVALID_ARGVS = (
+    [],  # missing command
+    ["bogus"],
+    ["rank", "--n", "3", "--bogus", "1"],  # unknown flag
+    ["rank", "--n", "3", "--tree", "[1,2]"],  # another command's flag
+    ["table", "--max-n", "2", "--relations", "as"],
+    ["reduce", "--expr", "[1,2]", "--format=json"],
+    ["rank", "--n"],  # missing value
+    ["magnus", "--tree", "[1,2]", "--truncate"],
+    ["rank", "--n", "x"],  # not an integer
+    ["table", "--max-n=2.0"],
+    ["magnus", "--tree", "[1,2]", "--truncate", ""],
+    ["rank", "--n", "3", "--method", "exact"],  # bad choice
+    ["rank", "--n", "3", "--parity", "both"],
+    ["magnus", "--tree", "[1,2]", "--truncate", "2", "--format", "csv"],
+    ["rank", "--n", "3", "--relations", "as,foo"],
+    ["rank"],  # missing required flag
+    ["magnus", "--truncate", "3"],
+    ["reduce", "a.txt", "b.txt"],  # extra positional
+    ["enum", "--n", "2", "extra"],
+)
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
+def test_a_malformed_argv_is_one_usage_error_line_under_both_parsers(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_only_exact_flag_names_are_read(capsys):
+    # argparse took an unambiguous prefix; the flag tables take none
+    for argv in (("rank", "--n", "3", "--rel", "as"), ("table", "--max", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage error: "), argv
+    # the token after a flag is its value, whatever it starts with
+    args = cli.parse_args(["reduce", "--expr", "-1*[1,2]", "--group", "--help"])
+    assert (args.expr, args.group) == ("-1*[1,2]", ("--help",))
+
+
+def readme_flags():
+    """The flags each command takes, from README's table."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, re.M)
+    return {command: re.findall(r"--[a-z-]+", flags) for command, flags in rows}
+
+
+def test_help_lists_the_flags_of_readmes_table(capsys):
+    table = readme_flags()
+    assert list(table) == list(COMMAND_FLAGS)
+    for flag in ("--help", "-h"):
+        code, out, err = run_cli(capsys, flag)
+        assert code == 0 and not err
+        usages = re.findall(r"^usage: jacobitrees (\w+)(.*)$", out, re.M)
+        assert {command: re.findall(r"--[a-z-]+", u) for command, u in usages} == table
+    for command, flags in table.items():
+        for argv in ((command, "--help"), (command, "-h"), (command, f"{flags[0]}=1", "-h")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and not err, argv
+            assert out.startswith(f"usage: jacobitrees {command} "), argv
+            assert re.findall(r"--[a-z-]+", out) == flags, argv
+
+
+def test_the_module_prints_help_and_refuses_a_bad_integer():
+    run = functools.partial(subprocess.run, env=cli_env(), capture_output=True, text=True)
+    helped = run([sys.executable, "-m", "jacobitrees", "--help"])
+    assert helped.returncode == 0 and not helped.stderr
+    assert helped.stdout.startswith("usage: jacobitrees enum ")
+    refused = run([sys.executable, "-m", "jacobitrees", "rank", "--n", "x"])
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr == "usage error: --n takes an integer, not 'x'\n"

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
 
-from jacobitrees.words import MAX_EXPONENT, Word, WordError, parse_word
+import pytest
+from hypothesis import example, given, strategies as st
+
+from jacobitrees.words import MAX_EXPONENT, Word, WordError, is_generator_name, parse_word
 
 
 def test_parse_and_format():
@@ -42,6 +44,19 @@ def test_bad_tokens():
         parse_word("3x")
     with pytest.raises(WordError):
         parse_word("a^x")
+
+
+@example("a\n")
+@example("é")
+@example("x_1")
+@given(st.text(max_size=6))
+def test_generator_names_are_ascii_identifiers(name):
+    # the grammar [A-Za-z_][A-Za-z_0-9]*, matched to the end: a trailing
+    # newline, which the regex "^...$" let through, is refused too
+    assert is_generator_name(name) == (re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name) is not None)
+    if not is_generator_name(name):
+        with pytest.raises(WordError, match="bad generator name"):
+            Word.generator(name)
 
 
 def test_exponent_bound():
