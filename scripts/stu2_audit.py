@@ -20,13 +20,10 @@ def main() -> int:
     args = ap.parse_args()
 
     for n in range(3, args.max_n + 1):
-        for parity, model in (
-            ("odd", braidlie.MODEL_ODD_DIM),
-            ("even", braidlie.MODEL_EVEN_DIM),
-        ):
+        for parity in ("odd", "even"):
             print(f"== degree {n}, {parity}")
             for w in braidlie.source_words(n):
-                v = braidlie.doubling_image(w, n, model)
+                v = braidlie.doubling_image(w, n, parity == "odd")
                 print(f"  {w}: {v.serialize() if not v.is_zero else '0'}")
             res = compute_quotient(n, ("as", "ihx", "stu2"), parity, "lyndon")
             print(

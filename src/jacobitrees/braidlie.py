@@ -9,11 +9,9 @@ relations
     [p(a, b), p(z, a) + p(z, b)] = 0            for any third point z,
 
 with brackets graded by a generator parity gamma (0 = ungraded, 1 = odd).
-Consistency of the three relations forces sigma * (-1)^gamma = 1, so there
-are exactly two models:
-
-    MODEL_ODD_DIM  = (sigma=-1, gamma=1)   ambient dimension odd
-    MODEL_EVEN_DIM = (sigma=+1, gamma=0)   ambient dimension even
+Consistency of the three relations forces sigma * (-1)^gamma = 1, so one
+bit fixes both: `odd`, the parity of the ambient dimension, with sigma = -1
+and gamma = 1 when odd and sigma = +1, gamma = 0 when even.
 
 Elements decompose over layers (the largest point index of a word); the
 layer-normal form rewrites any bracket into words whose leaves all share
@@ -37,7 +35,6 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from functools import lru_cache
 
-from ._value import _set, _Value
 from .lie import is_lyndon, standard_factorization
 from .trees import Tree, TreeVector, leaf
 
@@ -48,30 +45,13 @@ Element = dict[Mono, int]
 Items = tuple[tuple[Mono, int], ...]
 
 
-class BraidModel(_Value):
-    """sigma: the sign of p(a,b) -> p(b,a); gamma: the generator parity,
-    0 ungraded, 1 odd."""
-
-    __slots__ = ("sigma", "gamma")
-
-    def __init__(self, sigma: int, gamma: int):
-        if sigma * (-1) ** gamma != 1:
-            raise ValueError("inconsistent model: need sigma*(-1)^gamma == 1")
-        _set(self, "sigma", sigma)
-        _set(self, "gamma", gamma)
-
-
-MODEL_ODD_DIM = BraidModel(sigma=-1, gamma=1)
-MODEL_EVEN_DIM = BraidModel(sigma=+1, gamma=0)
-
-
-def gen(a: int, b: int, model: BraidModel) -> tuple[Mono, int]:
-    """Canonically oriented generator with its orientation sign."""
+def gen(a: int, b: int, odd: bool) -> tuple[Mono, int]:
+    """Canonically oriented generator with its orientation sign sigma."""
     if a == b:
         raise ValueError("generator needs two distinct points")
     if a > b:
         return ("g", a, b), 1
-    return ("g", b, a), model.sigma
+    return ("g", b, a), -1 if odd else 1
 
 
 def layer(m: Mono) -> int:
@@ -87,9 +67,9 @@ def _node(a: Mono, b: Mono) -> Mono:
     return ("b", a, b, weight, a[1] if a[0] == "g" else a[4])
 
 
-def _parity(m: Mono, model: BraidModel) -> int:
+def _parity(m: Mono, odd: bool) -> int:
     # ungraded: every word is even, without reading it
-    return ((1 if m[0] == "g" else m[3]) * model.gamma) % 2 if model.gamma else 0
+    return (1 if m[0] == "g" else m[3]) % 2 if odd else 0
 
 
 def _add(acc: Element, m: Mono, c: int) -> None:
@@ -106,10 +86,10 @@ def _scale(items: Iterable[tuple[Mono, int]], c: int) -> Items:
 
 
 class BraidCalculus:
-    """Layer-normal-form rewriter for one model, with memoised products."""
+    """Layer-normal-form rewriter for one parity, with memoised products."""
 
-    def __init__(self, model: BraidModel):
-        self.model = model
+    def __init__(self, odd: bool):
+        self.odd = odd
         self._pair_cache: dict[tuple[Mono, Mono], Items] = {}
 
     # -- bracket of two pure-layer words ------------------------------------
@@ -127,7 +107,7 @@ class BraidCalculus:
         if la == lb:
             return ((_node(a, b), 1),)
         if la < lb:
-            sign = -((-1) ** (_parity(a, self.model) * _parity(b, self.model)))
+            sign = -((-1) ** (_parity(a, self.odd) * _parity(b, self.odd)))
             return _scale(self.bracket_pure(b, a), sign)
         key = (a, b)
         out = self._pair_cache.get(key)
@@ -137,13 +117,13 @@ class BraidCalculus:
 
     def _act(self, a: Mono, b: Mono) -> Element:
         """[a, b] with layer(a) > layer(b), result in layer(a)."""
-        model = self.model
+        odd = self.odd
         if b[0] == "g":
             if a[0] == "g":
                 return dict(self._act_gen_gen(a, b))
             # [[a1,a2], b] = [a1,[a2,b]] - (-1)^{|a1||a2|} [a2,[a1,b]]
             a1, a2 = a[1], a[2]
-            sign = (-1) ** (_parity(a1, model) * _parity(a2, model))
+            sign = (-1) ** (_parity(a1, odd) * _parity(a2, odd))
             out: Element = {}
             for w, c in self.bracket_pure(a2, b):
                 for m, c2 in self.bracket_pure(a1, w):
@@ -154,7 +134,7 @@ class BraidCalculus:
             return out
         # [a, [b1,b2]] = [[a,b1],b2] + (-1)^{|a||b1|} [b1,[a,b2]]
         b1, b2 = b[1], b[2]
-        sign = (-1) ** (_parity(a, model) * _parity(b1, model))
+        sign = (-1) ** (_parity(a, odd) * _parity(b1, odd))
         out = {}
         for w, c in self.bracket_pure(a, b1):
             for m, c2 in self.bracket_pure(w, b2):
@@ -170,14 +150,13 @@ class BraidCalculus:
         _, t, v = b
         if u != t and u != v:
             return ()  # disjoint supports commute
-        sigma = self.model.sigma
         if u == t:
             # [p(s,t), p(t,v)] = -[p(s,t), p(s,v)]
-            g2, orient = gen(s, v, self.model)
+            g2, orient = gen(s, v, self.odd)
             return _scale(self.bracket_pure(a, g2), -orient)
         # u == v: [p(s,v), p(t,v)] = -sigma [p(s,v), p(s,t)]
-        g2, orient = gen(s, t, self.model)
-        return _scale(self.bracket_pure(a, g2), -sigma * orient)
+        g2, orient = gen(s, t, self.odd)
+        return _scale(self.bracket_pure(a, g2), orient if self.odd else -orient)
 
     # -- brackets of sums -----------------------------------------------------
 
@@ -227,9 +206,9 @@ def source_words(n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1)
-def _calculus(model: BraidModel, n: int) -> BraidCalculus:
+def _calculus(odd: bool, n: int) -> BraidCalculus:
     """One calculus per relation family, so its memo goes when the next starts."""
-    return BraidCalculus(model)
+    return BraidCalculus(odd)
 
 
 def _bilinear(m: Mono, leaf_sum: Callable, product: Callable) -> Element:
@@ -244,7 +223,7 @@ def _formal_product(left: Element, right: Element) -> Element:
     return {_node(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
-def doubling_image(w: tuple[int, ...], n: int, model: BraidModel) -> TreeVector:
+def doubling_image(w: tuple[int, ...], n: int, odd: bool) -> TreeVector:
     """Image of the source word under the alternating doubling sum.
 
     Only the two endpoints of the doubled spoke contribute, and each
@@ -256,18 +235,16 @@ def doubling_image(w: tuple[int, ...], n: int, model: BraidModel) -> TreeVector:
     the top layer that remain are read off as trees.
     """
     t = next(c for c, k in Counter(w).items() if k == 2)
-    return bracket_doubling_image(_word_bracket(w, n), t, n, model)
+    return bracket_doubling_image(_word_bracket(w, n), t, n, odd)
 
 
-def bracket_doubling_image(
-    bracket: Mono, t: int, n: int, model: BraidModel
-) -> TreeVector:
+def bracket_doubling_image(bracket: Mono, t: int, n: int, odd: bool) -> TreeVector:
     """doubling_image for an arbitrary bracketing of the source letters.
 
     Images of non-standard bracketings stay inside the lattice spanned by
     the Lyndon-word sources (linearity); exposed for that cross-check.
     """
-    calc = _calculus(model, n)
+    calc = _calculus(odd, n)
     acc: Element = {}
 
     # double the repeated target t: copies {t, t+1}, targets above t shift up;
@@ -289,17 +266,17 @@ def bracket_doubling_image(
     for mono, c in _bilinear(bracket, mover_sum, calc.bracket).items():
         _add(acc, mono, c * (-1) ** n)
 
-    return top_layer_vector(acc, n, model)
+    return top_layer_vector(acc, n, odd)
 
 
-def top_layer_vector(elem: Element, n: int, model: BraidModel) -> TreeVector:
+def top_layer_vector(elem: Element, n: int, odd: bool) -> TreeVector:
     """The multilinear words of layer n+1 in a normalised element, as trees.
 
     One walk per word builds its tree and drops the word at the first
     generator whose mover is not n+1 or whose target repeats.  Normalisation
     keeps every word at n generators, all with targets below their mover,
     so a word that survives uses each of the points 1..n exactly once.  In
-    the odd model a tree takes the parity of its leaf-target word as sign:
+    odd dimension a tree takes the parity of its leaf-target word as sign:
     the correction between odd-graded bracket words and ungraded trees.
     """
     top = n + 1
@@ -322,7 +299,7 @@ def top_layer_vector(elem: Element, n: int, model: BraidModel) -> TreeVector:
         tree = walk(mono)
         if tree is None:
             continue
-        if model.gamma:
+        if odd:
             for i, x in enumerate(targets):
                 for y in targets[i + 1:]:
                     if x > y:

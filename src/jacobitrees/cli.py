@@ -75,8 +75,11 @@ def pick_method(n: int, method: str, kinds: tuple[str, ...]) -> str:
     return method
 
 
-def certification(method: str) -> str:
-    return "probabilistic over Q" if method == "modular" else "exact over Z"
+def certification(*results: SnfResult) -> str:
+    """The label of results: probabilistic if any is a mod-p rank, which
+    bounds the rank over Q only."""
+    probabilistic = any(res.probabilistic for res in results)
+    return "probabilistic over Q" if probabilistic else "exact over Z"
 
 
 #: Families from this degree up (300 source words at 6, 2160 at 7) are made
@@ -341,21 +344,21 @@ def torsion_text(res: SnfResult) -> str:
 
 
 def _render_rank(fmt: str, n: int, method: str, res: SnfResult, dt: float) -> None:
-    torsion = torsion_text(res)
+    torsion, cert = torsion_text(res), certification(res)
     if fmt == "json":
         import json
         obj = res.to_json_obj()
-        obj.update({"n": n, "method": method, "certification": certification(method)})
+        obj.update({"n": n, "method": method, "certification": cert})
         print(json.dumps(obj, sort_keys=True))
     elif fmt == "csv":
         print("n,rank,torsion,method,certification")
-        print(f"{n},{res.free_rank},{torsion},{method},{certification(method)}")
+        print(f"{n},{res.free_rank},{torsion},{method},{cert}")
     else:
         print(f"n = {n}")
         print(f"quotient rank = {res.free_rank}")
         print(f"torsion = {torsion}")
         print(f"method = {method}")
-        print(f"certification = {certification(method)}")
+        print(f"certification = {cert}")
         print(f"wall time = {dt:.3f}s")
 
 
@@ -395,7 +398,7 @@ def table_rows(args: SimpleNamespace):
             "at_even_rank": even.free_rank,
             "torsion_odd": torsion_text(odd),
             "torsion_even": torsion_text(even),
-            "certification": certification(method),
+            "certification": certification(lie_res, odd, even),
         }
 
 
@@ -421,6 +424,8 @@ def cmd_table(args: SimpleNamespace) -> int:
 def cmd_reduce(args: SimpleNamespace) -> int:
     text = args.expr
     if args.input_file:
+        if text is not None:
+            raise UsageError("reduce takes an input file or --expr, not both")
         try:
             with open(args.input_file) as fh:
                 text = fh.read().strip()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from ._value import _set, _Value
 from .trees import Tree, TreeVector, graft, leaf
 
 WordT = tuple[int, ...]
@@ -27,24 +26,9 @@ class LieError(ValueError):
     pass
 
 
-class GradedConfig(_Value):
-    """Loop-degree datum for graded commutator signs; only parity matters."""
-
-    __slots__ = ("generator_degree",)
-
-    def __init__(self, generator_degree: int):
-        if generator_degree < 0:
-            raise LieError("generator degree must be >= 0")
-        _set(self, "generator_degree", generator_degree)
-
-    @property
-    def odd(self) -> bool:
-        return self.generator_degree % 2 == 1
-
-
 @lru_cache(maxsize=200_000)
 def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
-    """expand(t, cfg=...) of one tree, shared by every caller: never
+    """expand(t, odd=odd) of one tree, shared by every caller: never
     mutated.  An expansion is homogeneous, so concatenating the words
     of the two children never merges two products."""
     if t.is_leaf:
@@ -60,20 +44,19 @@ def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
 
 
 def expand(
-    v: Tree | TreeVector, n: int | None = None, cfg: GradedConfig | None = None
+    v: Tree | TreeVector, n: int | None = None, odd: bool = False
 ) -> dict[WordT, int]:
     """Commutator expansion: leaf i -> Xi, graft -> xy - yx, truncated at
     degree n (by default the degree of v), as a fresh {word: coefficient}
     dict with no zero coefficient.
 
-    With cfg, the Koszul-signed expansion graft -> xy - (-1)^(pm*qm) yx;
-    for even generator degree the two coincide.
+    With odd generators, the Koszul-signed expansion
+    graft -> xy - (-1)^(p*q) yx for subtrees of p and q leaves.
     """
     if n is None:
         n = v.degree
     if not isinstance(v, Tree) and v.decorated:
         raise LieError("expand applies to undecorated vectors")
-    odd = cfg is not None and cfg.odd
     terms = ((v, 1),) if isinstance(v, Tree) else v.terms
     acc: dict[WordT, int] = {}
     for t, c in terms:

@@ -6,10 +6,8 @@ re-runnable producer so several consumers can traverse independently.
 Nothing is deduplicated: the span is what matters downstream.
 
 The two quadratic families are generated by the doubling differential of
-braidlie, one bracket model per ambient-dimension parity:
-
-    odd  -> BraidModel(sigma=-1, gamma=1)
-    even -> BraidModel(sigma=+1, gamma=0)
+braidlie, one per parity of the ambient dimension: stu2_relations turns the
+"odd"/"even" it is given into the one bit odd that braidlie takes.
 
 Each instance comes from a doubled spoke resolved two ways at each of its
 two endpoints.  Audited minimal instances (degree 3, source word (1,2,2),
@@ -37,10 +35,9 @@ from .trees import Tree, TreeVector, enumerate_trees
 class RelationSet:
     """A re-iterable family of homogeneous relation vectors."""
 
-    __slots__ = ("degree", "producer")
+    __slots__ = ("producer",)
 
-    def __init__(self, degree: int, producer: Callable[[], Iterator[TreeVector]]):
-        self.degree = degree
+    def __init__(self, producer: Callable[[], Iterator[TreeVector]]):
         self.producer = producer
 
     def vectors(self) -> Iterator[TreeVector]:
@@ -93,7 +90,7 @@ def as_relations(n: int) -> RelationSet:
             for (s,) in rewrites(t, swap_rule):
                 yield TreeVector.from_dict({t: 1, s: 1})
 
-    return RelationSet(degree=n, producer=produce)
+    return RelationSet(produce)
 
 
 def ihx_relations(n: int) -> RelationSet:
@@ -107,13 +104,7 @@ def ihx_relations(n: int) -> RelationSet:
             for t1, t2 in rewrites(t, jacobi_rule):
                 yield TreeVector.from_dict({t: 1, t1: -1, t2: -1})
 
-    return RelationSet(degree=n, producer=produce)
-
-
-_PARITY_MODELS = {
-    "odd": braidlie.MODEL_ODD_DIM,
-    "even": braidlie.MODEL_EVEN_DIM,
-}
+    return RelationSet(produce)
 
 
 def stu2_relations(
@@ -126,17 +117,17 @@ def stu2_relations(
     rewritten tree-basis form, so term counts vary with the embedding even
     though each instance arises from two two-way vertex resolutions.
     """
-    if parity not in _PARITY_MODELS:
+    if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    model = _PARITY_MODELS[parity]
+    odd = parity == "odd"
 
     def produce() -> Iterator[TreeVector]:
         for w in braidlie.source_words(n) if words is None else words:
-            v = braidlie.doubling_image(w, n, model)
+            v = braidlie.doubling_image(w, n, odd)
             if not v.is_zero:
                 yield v
 
-    return RelationSet(degree=n, producer=produce)
+    return RelationSet(produce)
 
 
 def relation_union(sets: Iterable[RelationSet]) -> Iterator[TreeVector]:

@@ -101,10 +101,10 @@ def normalize(calc, m):
 
 
 def decorate_relations(
-    rs: RelationSet, decorations: Sequence[Sequence[Word]]
+    rs: RelationSet, n: int, decorations: Sequence[Sequence[Word]]
 ) -> RelationSet:
-    """Each vector once per decoration tuple, words attached by leaf label."""
-    n = rs.degree
+    """Each vector of the degree-n family rs once per decoration tuple,
+    words attached by leaf label."""
     tuples: list[tuple[Word, ...]] = []
     for tup in decorations:
         tup = tuple(tup)
@@ -120,7 +120,7 @@ def decorate_relations(
                     {decorate(t, mapping): c for t, c in v.terms}
                 )
 
-    return RelationSet(degree=n, producer=produce)
+    return RelationSet(produce)
 
 
 def is_zero_decorated(v: DecoratedVector) -> bool:
@@ -152,7 +152,7 @@ def decorated_rank(n: int, tuples: Sequence[Sequence[Word]]) -> SnfResult:
 
     def rows():
         for rs in (as_relations(n), ihx_relations(n)):
-            decorated = decorate_relations(rs, norm_tuples)
+            decorated = decorate_relations(rs, n, norm_tuples)
             for vec in decorated.vectors():
                 row: dict[int, int] = {}
                 for t, c in vec.terms:

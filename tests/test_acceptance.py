@@ -13,12 +13,7 @@ import pytest
 
 from jacobitrees.cli import compute_quotient, lyndon_rows
 from jacobitrees.intlinalg import IntLattice, cokernel, rank_modp_rows_dense, snf_from_rows
-from jacobitrees.lie import (
-    GradedConfig,
-    expand,
-    straighten,
-    to_lyndon_coordinates,
-)
+from jacobitrees.lie import expand, straighten, to_lyndon_coordinates
 from jacobitrees.magnus import magnus_agreement
 from jacobitrees.relations import (
     as_relations,
@@ -235,12 +230,11 @@ def test_criterion_7_magnus_agreement(magnus_expansions):
 def test_criterion_8_graded_rank_stability():
     ok = True
     for n in range(2, 6):
-        for m in (1, 2):
-            cfg = GradedConfig(generator_degree=m)
+        for odd in (True, False):
             words = {}
             lat = IntLattice(math.factorial(n))
             for t in enumerate_trees(n):
-                poly = expand(t, cfg=cfg)
+                poly = expand(t, odd=odd)
                 row = {}
                 for w, c in poly.items():
                     j = words.setdefault(w, len(words))

@@ -5,31 +5,31 @@ import os
 import pytest
 
 from jacobitrees import braidlie
-from jacobitrees.lie import GradedConfig, expand, to_lyndon_coordinates
+from jacobitrees.lie import expand, to_lyndon_coordinates
 from jacobitrees.trees import TreeVector, enumerate_trees, parse_tree
 
 from conftest import lyndon_basis, normalize
 
-MODELS = (braidlie.MODEL_ODD_DIM, braidlie.MODEL_EVEN_DIM)
+PARITIES = (True, False)  # odd, even
 
 
 def test_yang_baxter_annihilation_in_coordinates():
-    # [p(a,b), p(z,a) + p(z,b)] = 0 for every third point z, in both models
+    # [p(a,b), p(z,a) + p(z,b)] = 0 for every third point z, in both parities
     n = 2
-    for model in MODELS:
-        calc = braidlie.BraidCalculus(model)
+    for odd in PARITIES:
+        calc = braidlie.BraidCalculus(odd)
         for (a, b, z) in [(2, 1, 3), (3, 1, 2), (3, 2, 1)]:
-            gab, s0 = braidlie.gen(a, b, model)
-            gza, s1 = braidlie.gen(z, a, model)
-            gzb, s2 = braidlie.gen(z, b, model)
+            gab, s0 = braidlie.gen(a, b, odd)
+            gza, s1 = braidlie.gen(z, a, odd)
+            gzb, s2 = braidlie.gen(z, b, odd)
             acc = {}
             for m, c in normalize(calc, ("b", gab, gza)).items():
                 acc[m] = acc.get(m, 0) + s0 * s1 * c
             for m, c in normalize(calc, ("b", gab, gzb)).items():
                 acc[m] = acc.get(m, 0) + s0 * s2 * c
-            v = braidlie.top_layer_vector(acc, n, model)
+            v = braidlie.top_layer_vector(acc, n, odd)
             coords = to_lyndon_coordinates(v, n) if not v.is_zero else [0]
-            assert not any(coords), (model, a, b, z)
+            assert not any(coords), (odd, a, b, z)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.skipif(
@@ -41,13 +41,13 @@ def test_parities_agree_mod_2(n):
     # support and the same |coefficients|, so the two parities' relation
     # rows agree mod 2
     for w in braidlie.source_words(n):
-        odd, even = (braidlie.doubling_image(w, n, model) for model in MODELS)
+        odd, even = (braidlie.doubling_image(w, n, o) for o in PARITIES)
         assert {t: abs(c) for t, c in odd.terms} == {t: abs(c) for t, c in even.terms}, w
 
 
 def test_top_layer_vector_reads_multilinear_top_words():
     # n = 3: only words pure in layer 4 with distinct targets become trees,
-    # and the odd model signs each tree by its leaf-target parity
+    # and odd dimension signs each tree by its leaf-target parity
     def word(m1, t1, m2, t2, m3, t3):
         return ("b", ("b", ("g", m1, t1), ("g", m2, t2)), ("g", m3, t3))
 
@@ -56,10 +56,10 @@ def test_top_layer_vector_reads_multilinear_top_words():
     repeated = word(4, 1, 4, 2, 4, 1)
     leaf_order_213 = word(4, 2, 4, 1, 4, 3)
     dropped = {in_layer_n: 3, mixed_movers: 11, repeated: 7}
-    for model, sign in ((braidlie.MODEL_ODD_DIM, -1), (braidlie.MODEL_EVEN_DIM, 1)):
-        none = braidlie.top_layer_vector(dropped, 3, model)
+    for odd, sign in ((True, -1), (False, 1)):
+        none = braidlie.top_layer_vector(dropped, 3, odd)
         assert none.is_zero and none.degree == 3
-        got = braidlie.top_layer_vector({**dropped, leaf_order_213: 5}, 3, model)
+        got = braidlie.top_layer_vector({**dropped, leaf_order_213: 5}, 3, odd)
         assert got == TreeVector.from_dict({parse_tree("[[2,1],3]"): 5 * sign})
 
 
@@ -75,11 +75,10 @@ def _word_sign(w):
 def test_koszul_sign_bridge():
     # twisting each word of the odd-graded expansion by its permutation sign
     # gives the plain expansion times the leaf-order sign of the tree; this
-    # is the identity that lets odd-model monomials be read as trees
-    cfg = GradedConfig(generator_degree=1)
+    # is the identity that lets odd-dimension monomials be read as trees
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            graded = expand(t, cfg=cfg)
+            graded = expand(t, odd=True)
             twisted = {w: _word_sign(w) * c for w, c in graded.items()}
             seq = []
 
@@ -97,17 +96,17 @@ def test_koszul_sign_bridge():
 
 
 def test_disjoint_generators_commute():
-    for model in MODELS:
-        calc = braidlie.BraidCalculus(model)
-        g1, _ = braidlie.gen(4, 3, model)
-        g2, _ = braidlie.gen(2, 1, model)
+    for odd in PARITIES:
+        calc = braidlie.BraidCalculus(odd)
+        g1, _ = braidlie.gen(4, 3, odd)
+        g2, _ = braidlie.gen(2, 1, odd)
         assert normalize(calc, ("b", g1, g2)) == {}
 
 
 def test_doubling_image_degree_and_mode():
-    for model, parity in ((braidlie.MODEL_ODD_DIM, "odd"), (braidlie.MODEL_EVEN_DIM, "even")):
+    for odd in PARITIES:
         for w in braidlie.source_words(4):
-            v = braidlie.doubling_image(w, 4, model)
+            v = braidlie.doubling_image(w, 4, odd)
             if v.is_zero:
                 continue
             assert v.degree == 4 and not v.decorated
@@ -126,10 +125,10 @@ def test_bracket_returns_pure_words(monkeypatch):
         return out
 
     monkeypatch.setattr(braidlie.BraidCalculus, "bracket", recorded)
-    for model in MODELS:
+    for odd in PARITIES:
         for n in range(3, 7):
             for w in braidlie.source_words(n):
-                braidlie.doubling_image(w, n, model)
+                braidlie.doubling_image(w, n, odd)
     assert words
     for m in words:
         movers = _leaf_movers(m)
@@ -155,18 +154,18 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
     from jacobitrees.lie import straighten_vector
 
     n = 4
-    for model in MODELS:
+    for odd in PARITIES:
         index = {w: i for i, (w, _) in enumerate(lyndon_basis(n))}
         lat = IntLattice(math.factorial(n - 1))
         for w in braidlie.source_words(n):
-            v = braidlie.doubling_image(w, n, model)
+            v = braidlie.doubling_image(w, n, odd)
             if not v.is_zero:
                 lat.add({index[k]: c for k, c in straighten_vector(v).items()})
         for _ in range(25):
             doubled = rng.randint(1, n - 1)
             letters = sorted(list(range(1, n)) + [doubled])
             b = _random_bracket(rng, letters, n)
-            v = braidlie.bracket_doubling_image(b, doubled, n, model)
+            v = braidlie.bracket_doubling_image(b, doubled, n, odd)
             if v.is_zero:
                 continue
             row = {index[k]: c for k, c in straighten_vector(v).items()}
@@ -200,7 +199,7 @@ def _leaf_movers(m):
     return _leaf_movers(m[1]) | _leaf_movers(m[2])
 
 
-def _expand_positional(m, t, first, second, rho, n, model):
+def _expand_positional(m, t, first, second, rho, n, odd):
     """Substitute targets for the t-doubling, tracking leaf positions.
 
     The two occurrences of target t get the copies (first, second) in leaf
@@ -212,9 +211,9 @@ def _expand_positional(m, t, first, second, rho, n, model):
             b = node[2]
             if b == t:
                 copy = first if seen == 0 else second
-                g, s = braidlie.gen(n + 1, copy, model)
+                g, s = braidlie.gen(n + 1, copy, odd)
                 return [(g, s, seen + 1)]
-            g, s = braidlie.gen(n + 1, rho(b), model)
+            g, s = braidlie.gen(n + 1, rho(b), odd)
             return [(g, s, seen)]
         results = []
         for lm, ls, seen1 in go(node[1], seen):
@@ -225,7 +224,7 @@ def _expand_positional(m, t, first, second, rho, n, model):
     return [(mono, sign) for mono, sign, _ in go(m, 0)]
 
 
-def brute_force_doubling_image(bracket, t, n, model, calc):
+def brute_force_doubling_image(bracket, t, n, odd, calc):
     acc = {}
 
     def add(mono, c):
@@ -235,7 +234,7 @@ def brute_force_doubling_image(bracket, t, n, model, calc):
         return j if j < t else j + 1
 
     for first, second in ((t, t + 1), (t + 1, t)):
-        for mono, sign in _expand_positional(bracket, t, first, second, rho, n, model):
+        for mono, sign in _expand_positional(bracket, t, first, second, rho, n, odd):
             add(mono, sign * (-1) ** t)
     options = {
         ("g", n, x): [(("g", n, x), 1), (("g", n + 1, x), 1)] for x in range(1, n)
@@ -248,15 +247,15 @@ def brute_force_doubling_image(bracket, t, n, model, calc):
     for mono, c in acc.items():
         for mm, cc in normalize(calc, mono).items():
             normalized[mm] = normalized.get(mm, 0) + c * cc
-    return braidlie.top_layer_vector(normalized, n, model)
+    return braidlie.top_layer_vector(normalized, n, odd)
 
 
 def test_doubling_image_matches_brute_force(rng):
     # the bilinear evaluation on the sums g(n, x) + g(n+1, x) equals the
     # expansion over all leaf assignments, for the Lyndon source words and
     # for random non-standard bracketings of the same letters
-    for model in MODELS:
-        calc = braidlie.BraidCalculus(model)
+    for odd in PARITIES:
+        calc = braidlie.BraidCalculus(odd)
         for n in range(3, 7):
             cases = [
                 (braidlie._word_bracket(w, n), next(c for c in w if w.count(c) == 2))
@@ -267,6 +266,6 @@ def test_doubling_image_matches_brute_force(rng):
                 letters = sorted(list(range(1, n)) + [t])
                 cases.append((_random_bracket(rng, letters, n), t))
             for bracket, t in cases:
-                got = braidlie.bracket_doubling_image(bracket, t, n, model)
-                want = brute_force_doubling_image(bracket, t, n, model, calc)
-                assert got.terms == want.terms, (model, n, bracket)
+                got = braidlie.bracket_doubling_image(bracket, t, n, odd)
+                want = brute_force_doubling_image(bracket, t, n, odd, calc)
+                assert got.terms == want.terms, (odd, n, bracket)

@@ -147,6 +147,22 @@ def test_rank_modular_degree5(capsys):
         assert out.splitlines()[1] == f"5,{free_rank},unknown,modular,probabilistic over Q"
 
 
+def test_degree_1_is_exact_under_every_method(capsys):
+    # its quotient is known without rows, so modular labels it exact too
+    code, out, _ = run_cli(capsys, "rank", "--n", "1", "--method", "modular", "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "1,1,none,modular,exact over Z"
+    code, out, _ = run_cli(capsys, "rank", "--n", "1", "--method", "modular", "--format", "json")
+    obj = json.loads(out)
+    assert (obj["certification"], obj["probabilistic"]) == ("exact over Z", False)
+    code, out, _ = run_cli(capsys, "rank", "--n", "1", "--method", "modular")
+    assert "torsion = none\n" in out and "certification = exact over Z\n" in out
+    code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--method", "modular", "--format", "csv")
+    assert code == 0 and out.splitlines()[1:] == [
+        "1,1,0,0,none,none,exact over Z",
+        "2,1,1,1,unknown,unknown,probabilistic over Q",
+    ]
+
+
 def test_rank_method_cap(capsys):
     code, _, err = run_cli(
         capsys, "rank", "--n", "7", "--relations", "as,ihx", "--method", "snf"
@@ -769,6 +785,16 @@ def test_reduce_from_file(tmp_path, capsys):
     assert "ZERO" in out
 
 
+def test_reduce_takes_an_input_file_or_expr_not_both(tmp_path, capsys):
+    path = tmp_path / "vec.txt"
+    path.write_text("1*[1,2] 1*[2,1]\n")
+    for expr in (("--expr", "[[1,2],3]"), ("--expr", ""), ("--expr=",)):
+        code, out, err = run_cli(capsys, "reduce", str(path), *expr)
+        assert code == 2 and out == "", expr
+        assert err.startswith("usage error:") and err.count("\n") == 1, expr
+        assert "not both" in err, expr
+
+
 def test_reduce_unreadable_file_is_usage_error(tmp_path, capsys):
     (tmp_path / "binary.txt").write_bytes(b"1*[1,2] \xff\xfe")
     for name in ("missing.txt", "binary.txt"):
@@ -880,6 +906,10 @@ def test_stu2_audit_script_runs():
         "quotient: rank 2, torsion none",  # degree 4, odd
         "quotient: rank 0, torsion [2, 2]",  # degree 4, even
     ]
+    # and every instance line before them
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "08ff93039a2fa65a51647aad08b7665adc98f22eb6343e42b0454268f585cdee"
+    )
 
 
 def test_flags_a_command_does_not_read_are_usage_errors(capsys):

@@ -8,7 +8,6 @@ import itertools
 from jacobitrees import lie
 from jacobitrees.intlinalg import IntLattice
 from jacobitrees.lie import (
-    GradedConfig,
     LieError,
     expand,
     is_lyndon,
@@ -78,15 +77,13 @@ def test_as_ihx_expand_to_zero_small():
 
 
 def test_graded_expand_even_matches_expand():
-    cfg = GradedConfig(generator_degree=2)
     for n in (2, 3, 4):
         for t in enumerate_trees(n):
-            assert expand(t, cfg=cfg) == expand(t)
+            assert expand(t, odd=False) == expand(t)
 
 
 def test_graded_expand_odd_degree2():
-    cfg = GradedConfig(generator_degree=1)
-    assert expand(parse_tree("[1,2]"), cfg=cfg) == {(1, 2): 1, (2, 1): 1}
+    assert expand(parse_tree("[1,2]"), odd=True) == {(1, 2): 1, (2, 1): 1}
 
 
 def _span_rank(polys, n):
@@ -100,8 +97,8 @@ def _span_rank(polys, n):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_graded_span_rank_degree3(m):
-    cfg = GradedConfig(generator_degree=m)
-    polys = [expand(t, cfg=cfg) for t in enumerate_trees(3)]
+    # generators of degree m: only the parity of m reaches the signs
+    polys = [expand(t, odd=m % 2 == 1) for t in enumerate_trees(3)]
     assert _span_rank(polys, 3) == 2
 
 
@@ -126,11 +123,10 @@ def test_lyndon_words_are_the_sorted_multilinear_lyndon_words(n):
 def test_expand_equals_the_ncpoly_recursion(n):
     # every tree, plain and odd graded, truncated below, at and above its
     # degree; and a vector as the sum of its terms' expansions
-    odd = GradedConfig(generator_degree=1)
     for t in enumerate_trees(n):
         for bound in (n - 1, n, n + 1):
             assert expand(t, bound) == ncpoly_expand(t, bound)
-            assert expand(t, bound, cfg=odd) == ncpoly_expand(t, bound, odd=True)
+            assert expand(t, bound, odd=True) == ncpoly_expand(t, bound, odd=True)
     trees = list(enumerate_trees(n))[:7]
     v = TreeVector.from_dict({t: i - 3 for i, t in enumerate(trees)})
     want = {}

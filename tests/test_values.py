@@ -1,14 +1,16 @@
 """The small value classes: equality and hash by fields, read-only fields."""
 
+import importlib
 import itertools
 import pickle
+import pkgutil
 
 import pytest
 
-from jacobitrees.braidlie import BraidModel
+import jacobitrees
+from jacobitrees._value import _Value
 from jacobitrees.decorations import DecoratedVector, GroupSpec
 from jacobitrees.intlinalg import SnfResult
-from jacobitrees.lie import GradedConfig
 from jacobitrees.relations import RelationSet
 from jacobitrees.trees import DecoratedTree, TreeVector, leaf, parse_tree, parse_tree_vector
 from jacobitrees.words import Word
@@ -27,8 +29,6 @@ VALUES = {
     TreeVector: (
         lambda: parse_tree_vector("2*[1,2]"), lambda: parse_tree_vector("3*[1,2]")
     ),
-    GradedConfig: (lambda: GradedConfig(1), lambda: GradedConfig(generator_degree=3)),
-    BraidModel: (lambda: BraidModel(-1, 1), lambda: BraidModel(sigma=1, gamma=0)),
     GroupSpec: (lambda: GroupSpec(("a", "b")), lambda: GroupSpec(("b", "a"))),
     DecoratedVector: (
         lambda: DecoratedVector(parse_tree_vector("[1{a},2]"), GroupSpec(("a",))),
@@ -36,6 +36,22 @@ VALUES = {
     ),
     SnfResult: (lambda: SnfResult([1, 2], 2, 3), lambda: SnfResult([1], 1, 3)),
 }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_values_lists_every_value_class():
+    # so no value class goes without the equality and read-only cases below
+    for mod in pkgutil.iter_modules(jacobitrees.__path__):
+        if mod.name != "__main__":  # which runs the CLI
+            importlib.import_module(f"jacobitrees.{mod.name}")
+    package = [c for c in _subclasses(_Value) if c.__module__.startswith("jacobitrees.")]
+    assert len(package) == len(set(package)) == len(VALUES) == 6
+    assert set(package) == set(VALUES)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -55,10 +71,10 @@ def test_equality_is_by_fields(cls):
 
 def test_values_of_different_classes_are_unequal():
     values = [make() for make, _ in VALUES.values()]
-    values += [leaf(1), RelationSet(2, no_vectors)]
+    values += [leaf(1), RelationSet(no_vectors)]
     for a, b in itertools.combinations(values, 2):
         assert a != b and b != a
-    assert Word() != () and GradedConfig(1) != 1
+    assert Word() != () and GroupSpec(("a",)) != ("a",)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -74,14 +90,14 @@ def test_value_fields_are_read_only(cls):
 
 
 def test_a_relation_set_takes_a_new_producer():
-    rs = RelationSet(2, no_vectors)
+    rs = RelationSet(no_vectors)
     vectors = [TreeVector.zero(2)]
     rs.producer = lambda: iter(vectors)
     assert list(rs.vectors()) == vectors
 
 
 def test_repr_names_every_field():
-    assert repr(BraidModel(-1, 1)) == "BraidModel(sigma=-1, gamma=1)"
+    assert repr(GroupSpec(("a", "b"))) == "GroupSpec(generators=('a', 'b'))"
     assert repr(Word((("a", 1),))) == "Word(letters=(('a', 1),))"
     assert repr(SnfResult([2], 1, 1)) == (
         "SnfResult(invariant_factors=[2], rank=1, cols=1, probabilistic=False)"
