@@ -87,10 +87,6 @@ class IntLattice:
         self.n = ambient
         self.pivot_rows: dict[int, Row] = {}  # pivot column -> row
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
     def add(self, vec: Row) -> None:
         vec = {j: v for j, v in vec.items() if v}
         for j, v in vec.items():

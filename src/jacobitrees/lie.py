@@ -186,7 +186,7 @@ def straighten(t: Tree) -> dict[WordT, int]:
 
 def straighten_vector(
     v: TreeVector,
-    memo: dict[str, tuple[tuple[WordT, ...], tuple[int, ...]]] | None = None,
+    memo: dict[str, tuple[tuple[WordT, ...], tuple[int, ...]]],
 ) -> dict[WordT, int]:
     """straighten, extended linearly over the terms of v.
 
@@ -195,9 +195,7 @@ def straighten_vector(
     coefficients: under half the memory of one pair per item.  The caller
     owns it and sets its life: cli.lyndon_rows keeps one for one relation
     family, so each distinct tree of the family is straightened once.
-    Without one, the memo lives for this call only.
     """
-    memo = {} if memo is None else memo
     acc: dict[WordT, int] = {}
     for t, c in v.terms:
         key = t.serialize()

@@ -20,11 +20,9 @@ all read it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from itertools import repeat
 
 from ._value import _set, _Value
 from .words import Word, parse_word
@@ -182,27 +180,32 @@ def tree_count(n: int) -> int:
     return math.factorial(2 * n - 2) // math.factorial(n - 1)
 
 
-def _left_key(pair: tuple[Tree, tuple[int, ...]]) -> str:
-    return pair[0]._key
+def _subtrees(
+    labels: tuple[int, ...], spare: int
+) -> Iterator[tuple[Tree, tuple[int, ...]]]:
+    """Each tree on a subset of the sorted `labels` that leaves at least
+    `spare` of them unused, with the unused labels, ordered by serialisation.
+
+    The order needs no sort: a digit sorts before "[", so the leaves come
+    first, by label.  While labels are single digits (ENUMERATION_CAP), no
+    serialisation is a prefix of another, so "[l,r]" sorts by l, then by r.
+    """
+    if len(labels) <= spare:
+        return
+    for i, k in enumerate(labels):
+        yield leaf(k), labels[:i] + labels[i + 1 :]
+    for lt, rest in _subtrees(labels, spare + 1):
+        for rt, unused in _subtrees(rest, spare):
+            yield Tree(label=None, left=lt, right=rt), unused
 
 
 def _stream_over(labels: tuple[int, ...]) -> Iterator[Tree]:
     """All planar binary trees on the sorted `labels`, lazily, ordered by
-    serialisation."""
+    serialisation as in _subtrees."""
     if len(labels) == 1:
         yield leaf(labels[0])
         return
-    m = len(labels)
-
-    def left_streams() -> Iterator[Iterator[tuple[Tree, tuple[int, ...]]]]:
-        # proper nonempty subsets as left-label sets, one sorted stream each,
-        # every left tree paired with the labels left for the right subtree
-        for mask in range(1, (1 << m) - 1):
-            left = tuple(labels[i] for i in range(m) if mask >> i & 1)
-            rest = tuple(labels[i] for i in range(m) if not mask >> i & 1)
-            yield zip(_stream_over(left), repeat(rest))
-
-    for lt, rest in heapq.merge(*left_streams(), key=_left_key):
+    for lt, rest in _subtrees(labels, 1):
         for rt in _stream_over(rest):
             yield Tree(label=None, left=lt, right=rt)
 
@@ -312,8 +315,6 @@ def parse_tree(text: str) -> AnyTree:
     if p.pos != len(text):
         raise ParseError("trailing input", p.pos)
     labels = tree.labels()
-    if len(labels) != tree.degree:
-        raise ParseError("duplicate leaf label", len(text))
     expected = set(range(1, tree.degree + 1))
     if set(labels) != expected:
         raise ParseError(
@@ -417,8 +418,7 @@ def parse_tree_vector(text: str) -> TreeVector:
             coeff, tree_s = 1, body
         t = parse_tree(tree_s)
         acc[t] = acc.get(t, 0) + sign * coeff
+    # every term sets the degree and the mode, cancelled or zero ones too
+    shape = TreeVector.from_dict(dict.fromkeys(acc, 1))
     acc = {t: c for t, c in acc.items() if c != 0}
-    if not acc:
-        degree = parse_tree(tokens[0].rpartition("*")[2].lstrip("+-")).degree
-        return TreeVector.zero(degree)
-    return TreeVector.from_dict(acc)
+    return TreeVector.from_dict(acc) if acc else TreeVector.zero(shape.degree)

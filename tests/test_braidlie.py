@@ -160,7 +160,7 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
         for w in braidlie.source_words(n):
             v = braidlie.doubling_image(w, n, odd)
             if not v.is_zero:
-                lat.add({index[k]: c for k, c in straighten_vector(v).items()})
+                lat.add({index[k]: c for k, c in straighten_vector(v, {}).items()})
         for _ in range(25):
             doubled = rng.randint(1, n - 1)
             letters = sorted(list(range(1, n)) + [doubled])
@@ -168,7 +168,7 @@ def test_arbitrary_bracketings_stay_in_lattice(rng):
             v = braidlie.bracket_doubling_image(b, doubled, n, odd)
             if v.is_zero:
                 continue
-            row = {index[k]: c for k, c in straighten_vector(v).items()}
+            row = {index[k]: c for k, c in straighten_vector(v, {}).items()}
             assert not lat.reduce(row)
 
 

@@ -90,6 +90,51 @@ def test_enum_degree_range_matches_the_other_commands(capsys):
         assert reason in err
 
 
+#: SHA-256 of `enum --n n --format f` stdout, as the merge of one sorted
+#: stream per label subset printed it before the enumeration became one
+#: recursion
+ENUM_SHA256 = {
+    (1, "text"): "ad0fadf63cc7cd779ce475e345bf4063565b63a3c2efef1eebc89790aaa6acba",
+    (1, "csv"): "bacb1b45154940557aaee4537471cf5d675769b767927d018bf25dc4e7817a9f",
+    (1, "json"): "2ada559542f8a86d76bb7aca58668af54434f66b9013c9fbe13d9dfc4edb5959",
+    (2, "text"): "72bc406d260382da117ec591423ee6d35fc9631961254d5cfef524f1d09a23ce",
+    (2, "csv"): "c3a9d64518dddfaf5b55ad9b2ba19d9110c0e595e64a66feb06a65a1b942fc3b",
+    (2, "json"): "19897d31de7602fc9ca2025aeb50ca826c71d33d6ac96e7bed181f3531c78e66",
+    (3, "text"): "4a693eb75328ef8a8b2f7535838345ffeb7d5b8b374cc249e9c3c1c334992e95",
+    (3, "csv"): "9f19dc03d1f01a6c87b594170e89f704377e9c318f5d50f785b2c455c95ce395",
+    (3, "json"): "cd98e57fbc84f9f8b98201a7a55ecf26391d8d661adfe9cabea433cf6ffc7151",
+    (4, "text"): "4e9bcf60f61b7108cfdb0ad4fd373f8f6cfdb7b5c3a09c823e7a706af388760f",
+    (4, "csv"): "101a051174b714f9f6320d1abe527a3cbf312963534f59fd80c1514e3d557831",
+    (4, "json"): "426c29f34f5fb5409dc17cef65b1c7a36c0f74a1cdd1ce402371d33751d3b32c",
+    (5, "text"): "7ef5e169e4b51a4b0dd0574b04d67564307d9c90c65fe100a414ec816673bc0f",
+    (5, "csv"): "8ca9c816184287058f9993e3a208e977e3b807de0514eacca6149705be829ba5",
+    (5, "json"): "f09072d242b26d796170ab130484062985ad953a2a69a35af82464131390d162",
+    (6, "text"): "338d8eb4af2f764c20e2310b2ae7c2c7bce39379ffbb98b4d5b8e7334b616aed",
+    (6, "csv"): "9ba2168e200a2f4c9bb6bdd9cefe30380b4d997560796978b80fdc3a3186b578",
+    (6, "json"): "4933b825b45a971caadcf9f03eb65e59b64c5270d705b634e9e9c2fd7cc8e61d",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enum_bytes_pinned(capsys, n, fmt):
+    code, out, _ = run_cli(capsys, "enum", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUM_SHA256[n, fmt]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("JACOBITREES_ACCEPT_N8"),
+    reason="enum --n 7 takes ~6 s; set JACOBITREES_ACCEPT_N8=1",
+)
+def test_enum_degree7_text_pinned(capsys):
+    code, out, _ = run_cli(capsys, "enum", "--n", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1f4e6d546d06ecda52517f1069ee9fff7e40b9a22286e2f210f32e89c7801bf5"
+    )
+
+
 def test_rank_as_ihx_degree4(capsys):
     code, out, _ = run_cli(capsys, "rank", "--n", "4", "--relations", "as,ihx")
     assert code == 0
@@ -808,6 +853,29 @@ def test_reduce_parse_error(capsys):
     code, _, err = run_cli(capsys, "reduce", "--expr", "1*[1,1]")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "1*[1,2] 1*[[1,2],3]",
+        "1*[1,2] -1*[1,2] 1*[[1,2],3]",  # the degree-2 terms cancel
+        "1*[[1,2],3] -1*[[1,2],3] 1*[1,2]",
+        "1*[1,2] -0*[[1,2],3]",  # a zero coefficient still has a degree
+        "1*[1{a},2] -1*[1{a},2] 1*[2,1]",  # mixed modes, the decorated cancelled
+    ],
+)
+def test_reduce_mixed_terms_are_a_usage_error_even_when_cancelled(capsys, expr):
+    code, out, err = run_cli(capsys, "reduce", "--expr", expr)
+    assert code == 2 and not out
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "mixed" in err
+
+
+def test_reduce_decorated_input_that_cancels_is_the_undecorated_zero(capsys):
+    code, out, _ = run_cli(capsys, "reduce", "--expr", "1*[[1{a},2],3] -1*[[1{a},2],3]")
+    assert code == 0
+    assert out == "lyndon coordinates: [0, 0]\nnormal form: 0\nZERO in Lie(3)\n"
 
 
 def test_deeply_nested_input_is_a_usage_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -52,6 +54,16 @@ def test_enumeration_sorted_no_duplicates(n):
     serials = [t.serialize() for t in enumerate_trees(n)]
     assert serials == sorted(serials)
     assert len(serials) == len(set(serials)) == tree_count(n)
+
+
+def test_first_trees_of_degree8_pinned():
+    # Tree(8) is only streamed; its first 200 000 serialisations, as the
+    # merge of one sorted stream per label subset made them
+    first = itertools.islice(enumerate_trees(8), 200_000)
+    text = "\n".join(t.serialize() for t in first)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1a91b6053d0e820329c19eabe98071f6d13235da7e8d6247f08dc4ca5ad0dfdc"
+    )
 
 
 def test_enumeration_cap_error():
@@ -132,6 +144,8 @@ def test_parse_examples():
 def test_parse_duplicate_label():
     with pytest.raises(ParseError, match="duplicate"):
         parse_tree("[1,1]")
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_tree("[[1,2],[3,1]]")
 
 
 def test_parse_errors_have_positions():
@@ -184,6 +198,14 @@ def test_parse_tree_vector():
     assert v2.terms == ((parse_tree("[1,2]"), -1),)
     v3 = parse_tree_vector("[1,2] -1*[1,2]")
     assert v3.is_zero
+    # a vector that cancels takes its degree from every term, and rejects
+    # mixed degrees or modes among them, cancelled or zero terms included
+    assert parse_tree_vector("[1{a},[2,3]] -1*[1{a},[2,3]]") == TreeVector.zero(3)
+    for text in ("[1,2] -1*[1,2] [[1,2],3]", "[[1,2],3] -1*[[1,2],3] [1,2]", "[1,2] 0*[[1,2],3]"):
+        with pytest.raises(TreeError, match="mixed degrees"):
+            parse_tree_vector(text)
+    with pytest.raises(TreeError, match="mixed decorated"):
+        parse_tree_vector("[1{a},2] -1*[1{a},2] [2,1]")
 
 
 _letters = st.tuples(st.sampled_from(("a", "b", "x1")), st.sampled_from(("", "^-1", "^2")))
