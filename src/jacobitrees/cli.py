@@ -473,7 +473,6 @@ def cmd_reduce(args: SimpleNamespace) -> int:
         print("normal form: 0")
         print(f"ZERO in Lie({n})")
     else:
-        # the bracketings of the nonzero coordinates: the solve built them
         nf = TreeVector.from_dict(
             {standard_bracketing(w): c for w, c in zip(lyndon_words(n), coords) if c}
         )

@@ -1,15 +1,17 @@
 """Trees inside the free Lie ring on letters X1..Xn.
 
-Two independent routes from trees to Lyndon coordinates live here:
+Trees reach Lyndon coordinates by straightening: a bracketing is rewritten
+into the Lyndon basis using only antisymmetry flips and Jacobi steps (the
+classical Lyndon-basis product).  It never divides and each of its steps is
+an AS or IHX lattice move, so the difference between a tree and its
+straightening lies in the AS+IHX span by construction.
 
-* expansion: leaf i -> Xi, graft -> commutator, then strip leading words
-  against the unitriangular expansions of the Lyndon bracketings;
-* straightening: rewrite a bracketing into the Lyndon basis using only
-  antisymmetry flips and Jacobi steps (the classical Lyndon-basis product).
-
-The second route never divides and each of its steps is an AS or IHX lattice
-move, so agreement of the two certifies that the span of AS and IHX
-relations exhausts the kernel of expansion over the integers.
+expand gives the commutator expansion into the tensor algebra (leaf i -> Xi,
+graft -> commutator), the dicts the Magnus route compares with.  The tests
+solve expansions against the unitriangular expansions of the Lyndon
+bracketings, an independent second route, and check that it agrees with the
+straightening: that certifies that the AS and IHX relations span the kernel
+of expansion over the integers.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ class LieError(ValueError):
     pass
 
 
-@lru_cache(maxsize=200_000)
 def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
-    """expand(t, odd=odd) of one tree, shared by every caller: never
-    mutated.  An expansion is homogeneous, so concatenating the words
-    of the two children never merges two products."""
+    """expand(t, odd=odd) of one tree.  An expansion is homogeneous, so
+    concatenating the words of the two children never merges two products."""
     if t.is_leaf:
         return {(t.label,): 1}
     a, b = _expansion(t.left, odd), _expansion(t.right, odd)
@@ -43,26 +43,20 @@ def _expansion(t: Tree, odd: bool) -> dict[WordT, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def expand(
-    v: Tree | TreeVector, n: int | None = None, odd: bool = False
-) -> dict[WordT, int]:
-    """Commutator expansion: leaf i -> Xi, graft -> xy - yx, truncated at
-    degree n (by default the degree of v), as a fresh {word: coefficient}
-    dict with no zero coefficient.
+def expand(v: Tree | TreeVector, *, odd: bool = False) -> dict[WordT, int]:
+    """Commutator expansion: leaf i -> Xi, graft -> xy - yx, as a
+    {word: coefficient} dict with no zero coefficient.
 
     With odd generators, the Koszul-signed expansion
     graft -> xy - (-1)^(p*q) yx for subtrees of p and q leaves.
     """
-    if n is None:
-        n = v.degree
     if not isinstance(v, Tree) and v.decorated:
         raise LieError("expand applies to undecorated vectors")
     terms = ((v, 1),) if isinstance(v, Tree) else v.terms
     acc: dict[WordT, int] = {}
     for t, c in terms:
-        if t.degree <= n:
-            for w, cc in _expansion(t, odd).items():
-                acc[w] = acc.get(w, 0) + c * cc
+        for w, cc in _expansion(t, odd).items():
+            acc[w] = acc.get(w, 0) + c * cc
     return {w: c for w, c in acc.items() if c}
 
 
@@ -103,38 +97,8 @@ def lyndon_words(n: int) -> tuple[WordT, ...]:
     return tuple((1, *perm) for perm in itertools.permutations(range(2, n + 1)))
 
 
-def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[int]:
-    """Exact integer coordinates of expand(v) in the Lyndon basis.
-
-    Solved by stripping lexicographically-leading words; the expansion of the
-    bracketing of a Lyndon word w is w plus lex-larger words, so the system
-    is unitriangular over Z.  The Lyndon words are visited in lex order and
-    only the bracketings of the words stripped are expanded.
-    """
-    nn = n if n is not None else v.degree
-    poly = expand(v, nn)
-    words = lyndon_words(nn)
-    coords = [0] * len(words)
-    for i, w in enumerate(words):
-        c = poly.get(w)
-        if c is None:
-            continue
-        coords[i] = c
-        for ww, cc in _expansion(standard_bracketing(w), False).items():
-            nv = poly.get(ww, 0) - c * cc
-            if nv:
-                poly[ww] = nv
-            else:
-                del poly[ww]
-    if poly:
-        # stripping w touches only words from w on, so this is the least
-        # word the solve met outside the basis
-        raise LieError(f"expansion not in the multilinear Lie span: word {min(poly)}")
-    return coords
-
-
 # ---------------------------------------------------------------------------
-# straightening route (AS/Jacobi rewriting into the Lyndon basis)
+# straightening (AS/Jacobi rewriting into the Lyndon basis)
 
 
 @lru_cache(maxsize=500_000)
@@ -206,3 +170,20 @@ def straighten_vector(
         for w, cc in zip(*entry):
             acc[w] = acc.get(w, 0) + c * cc
     return {w: c for w, c in acc.items() if c != 0}
+
+
+def to_lyndon_coordinates(v: Tree | TreeVector, n: int | None = None) -> list[int]:
+    """Exact integer coordinates of v in the Lyndon basis, in the order of
+    lyndon_words(n): its straightening.  n, when given, is v's degree."""
+    if n is not None and n != v.degree:
+        raise LieError(f"a degree-{v.degree} vector has no coordinates in degree {n}")
+    if isinstance(v, Tree):
+        s = straighten(v)
+    elif v.decorated:
+        raise LieError("Lyndon coordinates apply to undecorated vectors")
+    else:
+        s = straighten_vector(v, {})
+    coords = [s.pop(w, 0) for w in lyndon_words(v.degree)]
+    if s:
+        raise LieError(f"leaf labels are not 1..{v.degree}: word {min(s)}")
+    return coords

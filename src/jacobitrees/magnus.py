@@ -60,14 +60,11 @@ def magnus_expand(w: Word, truncation: int, alphabet: list[str]) -> dict[WordT, 
     return acc
 
 
-def magnus_agreement(t: Tree, full: dict[WordT, int] | None = None) -> bool:
+def magnus_agreement(t: Tree, full: dict[WordT, int]) -> bool:
     """True iff the word's degree-n part is expand(t), its constant is 1 and
     the degrees between vanish; full is the caller's magnus_expand of it on
     x1..xn truncated at >= n."""
     n = t.degree
-    if full is None:
-        alphabet = [generator_name(i) for i in range(1, n + 1)]
-        full = magnus_expand(tree_to_word(t), n, alphabet)
     if full.get(()) != 1 or any(0 < len(w) < n for w in full):
         return False
     return {w: c for w, c in full.items() if len(w) == n} == expand(t)

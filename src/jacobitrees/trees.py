@@ -238,6 +238,12 @@ class ParseError(TreeError):
         self.position = position
 
 
+def _ascii_digits(text: str) -> bool:
+    """True iff text is one or more of the digits 0-9: str.isdigit alone also
+    takes other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -260,7 +266,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _ascii_digits(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a leaf label", start)
@@ -282,7 +288,7 @@ class _Parser:
             except TreeError as exc:
                 raise ParseError(str(exc), self.pos) from exc
             return node, {**ldeco, **rdeco}
-        if ch.isdigit():
+        if _ascii_digits(ch):
             k = self.parse_int()
             deco: dict[int, Word] = {}
             if self.peek() == "{":
@@ -396,7 +402,8 @@ def _terms(text: str) -> list[str]:
 
 
 def parse_tree_vector(text: str) -> TreeVector:
-    """Parse "±c*TREE ±c*TREE ..." (also accepts bare TREE terms, coeff 1)."""
+    """Parse "±c*TREE ±c*TREE ..." (also accepts bare TREE terms, coeff 1):
+    at most one sign, then the digits 0-9 of c."""
     tokens = _terms(text)
     if not tokens:
         raise TreeError("empty tree vector text")
@@ -410,10 +417,12 @@ def parse_tree_vector(text: str) -> TreeVector:
             body = body[1:]
         if "*" in body:
             coeff_s, _, tree_s = body.partition("*")
+            if not _ascii_digits(coeff_s):
+                raise TreeError(f"bad coefficient {tok.partition('*')[0]!r}")
             try:
                 coeff = int(coeff_s)
-            except ValueError as exc:
-                raise TreeError(f"bad coefficient {coeff_s!r}") from exc
+            except ValueError as exc:  # more digits than int() converts
+                raise TreeError("coefficient has too many digits") from exc
         else:
             coeff, tree_s = 1, body
         t = parse_tree(tree_s)

@@ -1,6 +1,7 @@
 """Fixtures and the independent oracles the tests check the library against."""
 
 import argparse
+import functools
 import itertools
 import pathlib
 import random
@@ -17,7 +18,7 @@ from jacobitrees.decorations import (
     decorated_normal_form,
 )
 from jacobitrees.intlinalg import SnfResult, snf_from_rows
-from jacobitrees.lie import lyndon_words, standard_bracketing
+from jacobitrees.lie import LieError, expand, lyndon_words, standard_bracketing
 from jacobitrees.magnus import generator_name, magnus_expand, tree_to_word
 from jacobitrees.relations import RelationSet, as_relations, ihx_relations
 from jacobitrees.trees import Tree, TreeVector, decorate, enumerate_trees, leaf, tree_list
@@ -69,6 +70,43 @@ def lyndon_basis(n: int):
     """lyndon_words(n), each with its standard bracketing: the basis the
     coordinates are taken in, as (word, tree) pairs."""
     return tuple((w, standard_bracketing(w)) for w in lyndon_words(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _bracketing_expansion(w: tuple[int, ...]) -> dict:
+    """expand of the standard bracketing of the Lyndon word w; shared by
+    every caller, never mutated."""
+    return expand(standard_bracketing(w))
+
+
+def expansion_coordinates(v, n: int) -> list[int]:
+    """Lyndon coordinates of a degree-n tree or vector by the expansion
+    route, independent of the straightening: the library's oracle.
+
+    Solved by stripping lexicographically-leading words; the expansion of the
+    bracketing of a Lyndon word w is w plus lex-larger words, so the system
+    is unitriangular over Z.  The Lyndon words are visited in lex order and
+    only the bracketings of the words stripped are expanded.
+    """
+    poly = expand(v)
+    words = lyndon_words(n)
+    coords = [0] * len(words)
+    for i, w in enumerate(words):
+        c = poly.get(w)
+        if c is None:
+            continue
+        coords[i] = c
+        for ww, cc in _bracketing_expansion(w).items():
+            nv = poly.get(ww, 0) - c * cc
+            if nv:
+                poly[ww] = nv
+            else:
+                del poly[ww]
+    if poly:
+        # stripping w touches only words from w on, so this is the least
+        # word the solve met outside the basis
+        raise LieError(f"expansion not in the multilinear Lie span: word {min(poly)}")
+    return coords
 
 
 def brute_force_trees(labels: Iterable[int]) -> list[Tree]:

@@ -856,6 +856,32 @@ def test_reduce_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr, said",
+    [
+        ("1_0*[1,2]", "bad coefficient '1_0'"),  # int() reads 10
+        ("+-2*[1,2]", "bad coefficient '+-2'"),  # two signs
+        ("--1*[1,2]", "bad coefficient '--1'"),
+        ("٣*[1,2]", "bad coefficient '٣'"),  # int() reads 3
+        ("1*[٢,1]", "expected '[' or a leaf label"),  # int() reads 2
+        ("1*[1,²]", "expected '[' or a leaf label"),  # int() refuses
+        ("*[1,2]", "bad coefficient ''"),
+        ("9" * 5000 + "*[1,2]", "coefficient has too many digits"),
+        ("[1," + "2" * 5000 + "]", "leaf label has too many digits"),
+    ],
+    ids=["underscore", "two-signs", "two-minuses", "arabic-indic-coefficient",
+         "arabic-indic-label", "superscript-label", "empty-coefficient",
+         "long-coefficient", "long-label"],
+)
+def test_reduce_reads_one_sign_and_ascii_digits(capsys, expr, said):
+    # a coefficient is at most one sign, then the digits 0-9; a leaf label
+    # is the digits 0-9
+    code, out, err = run_cli(capsys, "reduce", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert said in err
+
+
+@pytest.mark.parametrize(
     "expr",
     [
         "1*[1,2] 1*[[1,2],3]",

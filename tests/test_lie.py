@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,21 +13,23 @@ from jacobitrees.lie import (
     expand,
     is_lyndon,
     lyndon_words,
-    standard_bracketing,
     straighten,
     straighten_vector,
     to_lyndon_coordinates,
 )
 from jacobitrees.relations import as_relations, ihx_relations
 from jacobitrees.trees import (
+    Tree,
     TreeVector,
     enumerate_trees,
+    leaf,
     parse_tree,
     parse_tree_vector,
     tree_list,
 )
 
-from conftest import lyndon_basis, ncpoly_expand, random_tree
+import conftest
+from conftest import expansion_coordinates, lyndon_basis, ncpoly_expand, random_tree
 
 
 def oracle_expand(t):
@@ -121,12 +124,11 @@ def test_lyndon_words_are_the_sorted_multilinear_lyndon_words(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_expand_equals_the_ncpoly_recursion(n):
-    # every tree, plain and odd graded, truncated below, at and above its
-    # degree; and a vector as the sum of its terms' expansions
+    # every tree, plain and odd graded; and a vector as the sum of its
+    # terms' expansions
     for t in enumerate_trees(n):
-        for bound in (n - 1, n, n + 1):
-            assert expand(t, bound) == ncpoly_expand(t, bound)
-            assert expand(t, bound, odd=True) == ncpoly_expand(t, bound, odd=True)
+        assert expand(t) == ncpoly_expand(t, n)
+        assert expand(t, odd=True) == ncpoly_expand(t, n, odd=True)
     trees = list(enumerate_trees(n))[:7]
     v = TreeVector.from_dict({t: i - 3 for i, t in enumerate(trees)})
     want = {}
@@ -136,45 +138,59 @@ def test_expand_equals_the_ncpoly_recursion(n):
     assert expand(v) == {w: c for w, c in want.items() if c}
 
 
-def test_coordinates_expand_only_the_bracketings_they_strip(monkeypatch, rng):
-    # a Lyndon bracketing is expanded only when the solve strips its word,
-    # that is for the nonzero coordinates: one for a basis element
-    built = []
-    bracketing = lie.standard_bracketing
-
-    def recorded(w):
-        built.append(w)
-        return bracketing(w)
-
-    monkeypatch.setattr(lie, "standard_bracketing", recorded)
-    for n in (4, 5, 6):
-        words = lyndon_words(n)
-        for w in words[::7]:
-            built.clear()
-            coords = to_lyndon_coordinates(bracketing(w), n)
-            assert [x for x in built if len(x) == n] == [w]
-            assert coords == [int(u == w) for u in words]
-        for _ in range(20):
-            t = random_tree(rng, list(range(1, n + 1)))
-            built.clear()
-            coords = to_lyndon_coordinates(t, n)
-            stripped = [x for x in built if len(x) == n]
-            assert stripped == [w for w, c in zip(words, coords) if c]
-
-
 def test_coordinates_match_straightening_on_a_sample_at_degree_6(rng):
-    words = lyndon_words(6)
     for _ in range(300):
         t = random_tree(rng, list(range(1, 7)))
-        s = straighten(t)
-        assert to_lyndon_coordinates(t, 6) == [s.get(w, 0) for w in words]
+        assert to_lyndon_coordinates(t, 6) == expansion_coordinates(t, 6)
 
 
 def test_coordinates_refuse_a_word_outside_the_lyndon_span():
-    # the words of a degree-3 tree are too short for the degree-4 basis:
-    # the least of them is named
-    with pytest.raises(LieError, match=r"word \(1, 2, 3\)"):
-        to_lyndon_coordinates(parse_tree("[[1,2],3]"), 4)
+    # a degree-3 tree has no coordinates in the degree-2 or degree-4 basis
+    for n in (2, 4):
+        with pytest.raises(LieError, match=f"degree-3 vector .* degree {n}"):
+            to_lyndon_coordinates(parse_tree("[[1,2],3]"), n)
+
+
+def test_coordinates_refuse_leaves_other_than_1_to_n():
+    # a tree built off the parser on leaves 2, 3 straightens to words
+    # outside lyndon_words(2); the least is named
+    with pytest.raises(LieError, match=r"word \(2, 3\)"):
+        to_lyndon_coordinates(Tree(None, leaf(2), leaf(3)))
+
+
+def test_coordinates_refuse_a_decorated_vector():
+    v = parse_tree_vector("1*[1{a},2] 2*[2,1{b}]")
+    with pytest.raises(LieError, match="undecorated"):
+        to_lyndon_coordinates(v, 2)
+
+
+@pytest.mark.parametrize("n, count", [(7, 20), (8, 5)])
+def test_coordinates_match_the_expansion_above_degree_6(n, count):
+    # plain reduce takes n = 7 and 8: seeded vectors of one to four random
+    # trees, compared with the expansion solve
+    rng = random.Random(7000 + n)
+    for _ in range(count):
+        trees = [random_tree(rng, list(range(1, n + 1))) for _ in range(rng.randint(1, 4))]
+        v = TreeVector.from_dict({t: rng.choice((-3, -1, 1, 2)) for t in trees})
+        assert to_lyndon_coordinates(v, n) == expansion_coordinates(v, n)
+
+
+def test_the_expansion_oracle_never_straightens(monkeypatch, rng):
+    # the agreement tests compare two algorithms only while the oracle stays
+    # off the straightening: run it cold with the straightening disabled
+    def refuse(*args):
+        raise AssertionError("the expansion oracle straightened")
+
+    vectors = [lyndon_basis(4)[1][1], parse_tree_vector("2*[[1,2],3] -1*[3,[2,1]]")]
+    for n in (5, 6):
+        trees = [random_tree(rng, list(range(1, n + 1))) for _ in range(3)]
+        vectors += [trees[0], TreeVector.from_dict({t: i + 1 for i, t in enumerate(trees)})]
+    for name in ("straighten", "_lyndon_product", "straighten_vector"):
+        monkeypatch.setattr(lie, name, refuse)
+    conftest._bracketing_expansion.cache_clear()
+    oracle = [expansion_coordinates(v, v.degree) for v in vectors]
+    monkeypatch.undo()
+    assert oracle == [to_lyndon_coordinates(v) for v in vectors]
 
 
 def test_lyndon_words_are_lyndon():
@@ -217,7 +233,7 @@ def test_coordinates_of_right_comb():
 def test_straighten_agrees_with_expansion(n):
     basis = lyndon_basis(n)
     for t in tree_list(n):
-        coords = to_lyndon_coordinates(t, n)
+        coords = expansion_coordinates(t, n)
         s = straighten(t)
         assert [s.get(w, 0) for w, _ in basis] == coords
 
@@ -231,7 +247,7 @@ def test_straighten_vector_linear(rng):
         return
     s = straighten_vector(v, {})
     basis = lyndon_basis(n)
-    assert [s.get(w, 0) for w, _ in basis] == to_lyndon_coordinates(v, n)
+    assert [s.get(w, 0) for w, _ in basis] == expansion_coordinates(v, n)
 
 
 def test_straighten_vector_memo_matches_fresh(rng):

@@ -68,8 +68,9 @@ def test_leading_term_routes_agree_degree3():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_agreement_exhaustive(n):
+    alphabet = [f"x{i}" for i in range(1, n + 1)]
     for t in enumerate_trees(n):
-        assert magnus_agreement(t)
+        assert magnus_agreement(t, magnus_expand(tree_to_word(t), n, alphabet))
 
 
 def test_intermediate_degrees_vanish():
@@ -98,21 +99,20 @@ def test_random_trees_agree(rng):
     for _ in range(10):
         n = rng.randint(2, 5)
         t = random_tree(rng, list(range(1, n + 1)))
-        assert magnus_agreement(t)
+        alphabet = [f"x{i}" for i in range(1, n + 1)]
+        assert magnus_agreement(t, magnus_expand(tree_to_word(t), n, alphabet))
 
 
 def test_agreement_on_the_callers_expansion(magnus_expansions):
     # the magnus command hands over its own expansion, truncated at
     # --truncate >= the degree.  On every tree through degree 5 and on
-    # criterion 7's 24 trees of degree 6 it gives True, the verdict
-    # criterion 7 reaches on the same trees without it (compared here too
-    # below degree 5, where a second expansion is cheap), and one more word
-    # of degree n - 1 or n turns it
+    # criterion 7's 24 trees of degree 6 it gives True, truncated one degree
+    # higher too (below degree 5, where a second expansion is cheap), and
+    # one more word of degree n - 1 or n turns it
     for t, word, full in magnus_expansions.cases:
         n = t.degree
         assert magnus_agreement(t, full) is True
         if n < 5:
-            assert magnus_agreement(t) is True
             alphabet = [f"x{i}" for i in range(1, n + 1)]
             assert magnus_agreement(t, magnus_expand(word, n + 1, alphabet))
         for d in {max(n - 1, 1), n}:

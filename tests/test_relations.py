@@ -16,7 +16,7 @@ from jacobitrees.relations import (
 from jacobitrees.trees import TreeVector, parse_tree, tree_count, tree_list
 from jacobitrees.words import Word, parse_word
 
-from conftest import decorate_relations, normalize
+from conftest import decorate_relations, expansion_coordinates, normalize
 
 
 def test_as_counts():
@@ -99,9 +99,11 @@ def test_stu2_degree3_instances():
 
 
 def _quotient(n, parity):
+    # on the expansion solve's coordinates, off the straightening the
+    # library's Lyndon rows take
     rows = []
     for v in stu2_relations(n, parity).vectors():
-        coords = to_lyndon_coordinates(v, n)
+        coords = expansion_coordinates(v, n)
         row = {j: c for j, c in enumerate(coords) if c}
         if row:
             rows.append(row)
