@@ -12,11 +12,12 @@ import sys
 
 from jacobitrees import braidlie
 from jacobitrees.cli import compute_quotient
+from jacobitrees.words import read_integer
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--max-n", type=read_integer, default=4)
     args = ap.parse_args()
 
     for n in range(3, args.max_n + 1):

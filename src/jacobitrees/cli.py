@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 from . import braidlie, intlinalg, magnus, relations
 from .decorations import DecorationError, DecoratedVector, GroupSpec, decorated_normal_form
-from .words import WordError
+from .words import WordError, read_integer
 from .intlinalg import IntLattice, SnfResult, snf_from_rows
 from .lie import lyndon_words, standard_bracketing, straighten_vector, to_lyndon_coordinates
 from .trees import (
@@ -554,19 +554,19 @@ METHODS = ("auto", *METHOD_CAPS)
 #: named by it without the dashes, "-" read as "_": --max-n sets max_n.
 COMMANDS = {
     "enum": (cmd_enum, "list Tree(n), count first", None, {
-        "--n": (int, REQUIRED), "--format": (FORMATS, "text")}),
+        "--n": (read_integer, REQUIRED), "--format": (FORMATS, "text")}),
     "rank": (cmd_rank, "rank/torsion of Z[Tree(n)] modulo relations", None, {
-        "--n": (int, REQUIRED), "--relations": (_relation_kinds, ("as", "ihx")),
+        "--n": (read_integer, REQUIRED), "--relations": (_relation_kinds, ("as", "ihx")),
         "--parity": (("odd", "even"), None), "--method": (METHODS, "auto"),
         "--format": (FORMATS, "text")}),
     "table": (cmd_table, "rank table across degrees, both parities", None, {
-        "--max-n": (int, REQUIRED), "--method": (METHODS, "auto"),
+        "--max-n": (read_integer, REQUIRED), "--method": (METHODS, "auto"),
         "--format": (FORMATS, "text")}),
     "reduce": (cmd_reduce, "normal form and zero verdict for a vector", "input_file", {
         "--expr": (str, None), "--relations": (_relation_kinds, ("as", "ihx")),
         "--parity": (("odd", "even"), None), "--group": (_names, None)}),
     "magnus": (cmd_magnus, "tree word, Magnus expansion, agreement check", None, {
-        "--tree": (str, REQUIRED), "--truncate": (int, REQUIRED),
+        "--tree": (str, REQUIRED), "--truncate": (read_integer, REQUIRED),
         "--format": (("text", "json"), "text")}),
 }
 
@@ -616,7 +616,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             raise UsageError(f"{flag} takes one of {', '.join(kind)}, not {text!r}")
         try:
             values[flag] = text if isinstance(kind, tuple) else kind(text)
-        except ValueError:  # int is the one converter that raises it
+        except ValueError:  # read_integer is the one converter that raises it
             raise UsageError(f"{flag} takes an integer, not {text!r}") from None
     if missing := [flag for flag, value in values.items() if value is REQUIRED]:
         raise UsageError(f"{command} needs {', '.join(missing)}")

@@ -459,10 +459,8 @@ def _gauss_jordan(y, p: int) -> tuple[list[int], list[int]]:
     return rows, qs
 
 
-def rank_modp_rows_dense(
-    rows: Iterable[Row], cols: int, primes: Sequence[int] = DENSE_PRIMES
-) -> dict[int, int]:
-    """Rank of the row span modulo each of the distinct primes.
+def rank_modp_rows_dense(rows: Iterable[Row], cols: int) -> dict[int, int]:
+    """Rank of the row span modulo each of DENSE_PRIMES.
 
     Blocked elimination after Dumas, Giorgi and Pernet (FFLAS-FFPACK): the
     rows are read MODP_BLOCK_ROWS at a time, and each block is reduced
@@ -472,14 +470,10 @@ def rank_modp_rows_dense(
     """
     import numpy as np
 
-    primes = tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise LinalgError("primes must be distinct")
-    for p in primes:
-        if p <= 2 or p * p * cols >= 2**53:
-            raise LinalgError(f"prime {p} unsafe for exact float64 reduction")
+    if max(DENSE_PRIMES) ** 2 * cols >= 2**53:
+        raise LinalgError(f"{cols} columns unsafe for exact float64 reduction")
     block = MODP_BLOCK_ROWS
-    echelons = [_ModpEchelon(p, cols) for p in primes]
+    echelons = [_ModpEchelon(p, cols) for p in DENSE_PRIMES]
     xbuf = np.empty(block * cols)
     work = [np.empty(block * cols) for _ in range(2)]
 

@@ -25,7 +25,7 @@ from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
 from ._value import _set, _Value
-from .words import Word, parse_word
+from .words import DIGITS, Word, parse_word, read_integer
 
 #: Largest degree enumerate_trees will serve, and the desk cap of every CLI
 #: command.  |Tree(8)| = 17 297 280 already calls for streaming consumers;
@@ -238,12 +238,6 @@ class ParseError(TreeError):
         self.position = position
 
 
-def _ascii_digits(text: str) -> bool:
-    """True iff text is one or more of the digits 0-9: str.isdigit alone also
-    takes other scripts' digits and superscripts."""
-    return text.isascii() and text.isdigit()
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -266,14 +260,14 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and _ascii_digits(self.text[self.pos]):
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a leaf label", start)
         try:
-            return int(self.text[start : self.pos])
+            return read_integer(self.text[start : self.pos], "leaf label")
         except ValueError as exc:  # more digits than int() converts
-            raise ParseError("leaf label has too many digits", start) from exc
+            raise ParseError(str(exc), start) from exc
 
     def parse_tree(self) -> tuple[Tree, dict[int, Word]]:
         ch = self.peek()
@@ -288,7 +282,7 @@ class _Parser:
             except TreeError as exc:
                 raise ParseError(str(exc), self.pos) from exc
             return node, {**ldeco, **rdeco}
-        if _ascii_digits(ch):
+        if ch and ch in DIGITS:
             k = self.parse_int()
             deco: dict[int, Word] = {}
             if self.peek() == "{":
@@ -402,31 +396,23 @@ def _terms(text: str) -> list[str]:
 
 
 def parse_tree_vector(text: str) -> TreeVector:
-    """Parse "±c*TREE ±c*TREE ..." (also accepts bare TREE terms, coeff 1):
-    at most one sign, then the digits 0-9 of c."""
+    """Parse "±c*TREE ±c*TREE ...", ±c read by read_integer; a bare ±TREE
+    term has coefficient ±1."""
     tokens = _terms(text)
     if not tokens:
         raise TreeError("empty tree vector text")
     acc: dict[AnyTree, int] = {}
     for tok in tokens:
-        sign = 1
-        body = tok
-        if body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -1
-            body = body[1:]
-        if "*" in body:
-            coeff_s, _, tree_s = body.partition("*")
-            if not _ascii_digits(coeff_s):
-                raise TreeError(f"bad coefficient {tok.partition('*')[0]!r}")
+        coeff_s, star, tree_s = tok.partition("*")
+        if star:
             try:
-                coeff = int(coeff_s)
-            except ValueError as exc:  # more digits than int() converts
-                raise TreeError("coefficient has too many digits") from exc
+                coeff = read_integer(coeff_s, "coefficient")
+            except ValueError as exc:
+                raise TreeError(str(exc)) from exc
         else:
-            coeff, tree_s = 1, body
+            coeff, tree_s = (-1, tok[1:]) if tok[0] == "-" else (1, tok.removeprefix("+"))
         t = parse_tree(tree_s)
-        acc[t] = acc.get(t, 0) + sign * coeff
+        acc[t] = acc.get(t, 0) + coeff
     # every term sets the degree and the mode, cancelled or zero ones too
     shape = TreeVector.from_dict(dict.fromkeys(acc, 1))
     acc = {t: c for t, c in acc.items() if c != 0}

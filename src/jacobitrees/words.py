@@ -16,6 +16,8 @@ from ._value import _set, _Value
 #: in memory; "a^99999999" must be refused, not expanded.
 MAX_EXPONENT = 10_000
 
+DIGITS = "0123456789"
+
 
 def is_generator_name(name: str) -> bool:
     """Whether name is ASCII letters, digits and _, not led by a digit."""
@@ -24,6 +26,20 @@ def is_generator_name(name: str) -> bool:
 
 class WordError(ValueError):
     """Domain error for free-group words."""
+
+
+def read_integer(text: str, what: str = "integer") -> int:
+    """The integer text spells: at most one sign, then the digits 0-9 (int()
+    alone also takes spaces, "_" and other scripts' digits).  Raises
+    ValueError naming what on anything else or on more digits than int()
+    converts."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not digits or digits.strip(DIGITS):
+        raise ValueError(f"bad {what} {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} has too many digits") from None
 
 
 def _reduce(letters: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -96,9 +112,9 @@ def parse_word(text: str) -> Word:
             raise WordError(f"bad generator name {name!r}")
         if caret:
             try:
-                exp = int(exp_s)
+                exp = read_integer(exp_s, "exponent")
             except ValueError as exc:
-                raise WordError(f"bad exponent {exp_s!r} on {name!r}") from exc
+                raise WordError(f"{exc} on {name!r}") from exc
             if abs(exp) > MAX_EXPONENT:
                 raise WordError(f"exponent {exp} on {name!r} beyond {MAX_EXPONENT}")
         else:

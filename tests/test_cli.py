@@ -867,18 +867,52 @@ def test_reduce_parse_error(capsys):
         ("*[1,2]", "bad coefficient ''"),
         ("9" * 5000 + "*[1,2]", "coefficient has too many digits"),
         ("[1," + "2" * 5000 + "]", "leaf label has too many digits"),
+        ("1*[1{a^1_0},2]", "bad exponent '1_0' on 'a'"),  # int() reads 10
+        ("1*[1{a^٣},2]", "bad exponent '٣' on 'a'"),  # int() reads 3
+        ("1*[1{a^+-1},2]", "bad exponent '+-1' on 'a'"),
+        ("1*[1{a^" + "9" * 5000 + "},2]", "exponent has too many digits on 'a'"),
     ],
     ids=["underscore", "two-signs", "two-minuses", "arabic-indic-coefficient",
          "arabic-indic-label", "superscript-label", "empty-coefficient",
-         "long-coefficient", "long-label"],
+         "long-coefficient", "long-label", "underscore-exponent",
+         "arabic-indic-exponent", "two-signs-exponent", "long-exponent"],
 )
 def test_reduce_reads_one_sign_and_ascii_digits(capsys, expr, said):
-    # a coefficient is at most one sign, then the digits 0-9; a leaf label
-    # is the digits 0-9
+    # a coefficient and a decoration exponent are at most one sign, then the
+    # digits 0-9; a leaf label is the digits 0-9
     code, out, err = run_cli(capsys, "reduce", "--expr", expr)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert said in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--n", "٣"],
+        ["rank", "--n", "0_3"],
+        ["rank", "--n", " 3"],
+        ["table", "--max-n", "٣"],
+        ["magnus", "--tree", "[1,2]", "--truncate", "²"],
+    ],
+    ids=" ".join,
+)
+def test_an_integer_flag_reads_one_sign_and_ascii_digits(capsys, argv):
+    # not in INVALID_ARGVS: its argparse oracle reads these with int(),
+    # which takes them
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {argv[-2]} takes an integer, not {argv[-1]!r}\n"
+
+
+def test_a_plus_sign_reads_as_no_sign(capsys):
+    for signed, plain in (
+        (["enum", "--n", "+3"], ["enum", "--n", "3"]),
+        (["rank", "--n", "+3", "--format", "csv"], ["rank", "--n", "3", "--format", "csv"]),
+        (["reduce", "--expr", "1*[1{a^+2},2]"], ["reduce", "--expr", "1*[1{a^2},2]"]),
+    ):
+        assert run_cli(capsys, *signed) == run_cli(capsys, *plain), signed
+        assert run_cli(capsys, *plain)[0] == 0, plain
 
 
 @pytest.mark.parametrize(

@@ -242,14 +242,13 @@ def test_cokernel_unknown_basis_element():
         cokernel(iter([bad]), basis)
 
 
-def test_rank_modp_as_ihx_degree4():
+def test_rank_modp_as_ihx_degree4(monkeypatch):
     # 120 - 3! independent relation rows; spec quotes quotient rank 6
     basis = tree_list(4)
     index = {t: i for i, t in enumerate(basis)}
     rels = list(relation_union([as_relations(4), ihx_relations(4)]))
-    ranks = rank_modp_rows_dense(
-        (vector_to_row(v, index) for v in rels), len(basis), primes=(10007, 65537)
-    )
+    monkeypatch.setattr(intlinalg, "DENSE_PRIMES", (10007, 65537))
+    ranks = rank_modp_rows_dense((vector_to_row(v, index) for v in rels), len(basis))
     assert ranks == {10007: 114, 65537: 114}
     exact = cokernel(iter(rels), basis)
     assert exact.rank == 114 and exact.free_rank == 6
@@ -278,23 +277,27 @@ def test_rank_modp_zero_stream():
 
 
 def test_rank_modp_prime_validation():
-    with pytest.raises(LinalgError):
-        rank_modp_rows_dense(iter(()), 3, primes=(7, 7))
-    with pytest.raises(LinalgError):
-        rank_modp_rows_dense(iter(()), 3, primes=(2, 5))
+    # the engine's primes: two distinct odd primes, exact in float64 up to
+    # 8191 columns
+    assert len(set(DENSE_PRIMES)) == len(DENSE_PRIMES) == 2
+    for p in DENSE_PRIMES:
+        assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1)), p
+        assert p * p * 8191 < 2**53
 
 
-def test_rank_modp_float64_prime_bound():
+def test_rank_modp_float64_prime_bound(monkeypatch):
     # block products are float64 sums of up to cols terms below p^2, exact
     # only while p^2 * cols < 2^53
     p = DENSE_PRIMES[1]
     assert p * p * 8191 < 2**53 <= p * p * 8192
-    assert rank_modp_rows_dense(iter(()), 8191, primes=(p,)) == {p: 0}
+    monkeypatch.setattr(intlinalg, "DENSE_PRIMES", (p,))
+    assert rank_modp_rows_dense(iter(()), 8191) == {p: 0}
     with pytest.raises(LinalgError, match="unsafe"):
-        rank_modp_rows_dense(iter(()), 8192, primes=(p,))
+        rank_modp_rows_dense(iter(()), 8192)
     # 2^22 - 3 passes the int64 bound p^2 * cols < 2^62, not this one
+    monkeypatch.setattr(intlinalg, "DENSE_PRIMES", (4194301,))
     with pytest.raises(LinalgError, match="unsafe"):
-        rank_modp_rows_dense(iter(()), 720, primes=(4194301,))
+        rank_modp_rows_dense(iter(()), 720)
 
 
 def test_rank_modp_coordinate_out_of_range():

@@ -3,7 +3,14 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from jacobitrees.words import MAX_EXPONENT, Word, WordError, is_generator_name, parse_word
+from jacobitrees.words import (
+    MAX_EXPONENT,
+    Word,
+    WordError,
+    is_generator_name,
+    parse_word,
+    read_integer,
+)
 
 
 def test_parse_and_format():
@@ -57,6 +64,25 @@ def test_generator_names_are_ascii_identifiers(name):
     if not is_generator_name(name):
         with pytest.raises(WordError, match="bad generator name"):
             Word.generator(name)
+
+
+@example("")
+@example("+")
+@example("+-1")
+@example(" 3")
+@example("3\n")
+@example("0_3")
+@example("٣")
+@example("²")
+@example("-0")
+@given(st.text(max_size=6) | st.text("+-0123456789_ ٣²", max_size=6))
+def test_read_integer_takes_one_sign_then_ascii_digits(text):
+    # int() alone also takes spaces, "_" and other scripts' digits
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        assert read_integer(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="bad integer"):
+            read_integer(text)
 
 
 def test_exponent_bound():
