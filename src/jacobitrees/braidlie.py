@@ -17,7 +17,13 @@ Elements decompose over layers (the largest point index of a word); the
 layer-normal form rewrites any bracket into words whose leaves all share
 the top mover.  Multilinear top-layer words are planar binary trees, and
 `top_layer_vector` is the one extraction from normalised elements to tree
-vectors: one walk per word builds its tree, its leaf-order sign, or drops it.
+vectors: each word's tree, its leaf-order sign, or its drop is read off its
+two halves, each walked once per relation family.
+
+A relation family (one degree and parity) shares its monomials: every word
+its calculus builds, generators included, is the one object of its value in
+the calculus' table, so the memos keyed by words hold no copies.  The table
+and the memos live on the calculus, which goes when the next family starts.
 
 The quadratic-relation generator lives here: for each Lyndon word of length
 n over the spokes p(n, 1..n-1) that uses every spoke and hence doubles
@@ -85,12 +91,29 @@ def _scale(items: Iterable[tuple[Mono, int]], c: int) -> Items:
     return tuple((m, c * v) for m, v in items) if c else ()
 
 
+#: A sub-word's walk (see top_layer_vector): its tree, the bitmask of its
+#: leaf targets and the inversions of its leaf-target word; None when the
+#: sub-word leaves the top layer or repeats a target.
+Walk = tuple[Tree, int, int] | None
+
+
 class BraidCalculus:
-    """Layer-normal-form rewriter for one parity, with memoised products."""
+    """Layer-normal-form rewriter for one parity, with memoised products.
+
+    Every monomial it builds comes from _monos, which maps each value to its
+    one object; _walks memoises top_layer_vector's walk of each sub-word for
+    the one degree that _calculus serves the calculus to.
+    """
 
     def __init__(self, odd: bool):
         self.odd = odd
+        self._monos: dict[Mono, Mono] = {}
         self._pair_cache: dict[tuple[Mono, Mono], Items] = {}
+        self._walks: dict[Mono, Walk] = {}
+
+    def one(self, m: Mono) -> Mono:
+        """The calculus' one object of value m."""
+        return self._monos.setdefault(m, m)
 
     # -- bracket of two pure-layer words ------------------------------------
 
@@ -105,7 +128,7 @@ class BraidCalculus:
         """
         la, lb = layer(a), layer(b)
         if la == lb:
-            return ((_node(a, b), 1),)
+            return ((self.one(_node(a, b)), 1),)
         if la < lb:
             sign = -((-1) ** (_parity(a, self.odd) * _parity(b, self.odd)))
             return _scale(self.bracket_pure(b, a), sign)
@@ -153,10 +176,10 @@ class BraidCalculus:
         if u == t:
             # [p(s,t), p(t,v)] = -[p(s,t), p(s,v)]
             g2, orient = gen(s, v, self.odd)
-            return _scale(self.bracket_pure(a, g2), -orient)
+            return _scale(self.bracket_pure(a, self.one(g2)), -orient)
         # u == v: [p(s,v), p(t,v)] = -sigma [p(s,v), p(s,t)]
         g2, orient = gen(s, t, self.odd)
-        return _scale(self.bracket_pure(a, g2), orient if self.odd else -orient)
+        return _scale(self.bracket_pure(a, self.one(g2)), orient if self.odd else -orient)
 
     # -- brackets of sums -----------------------------------------------------
 
@@ -169,17 +192,23 @@ class BraidCalculus:
                     _add(out, mm, ca * cb * cc)
         return out
 
+    def formal_product(self, left: Element, right: Element) -> Element:
+        """The bracket of two elements pure in one layer: the formal words."""
+        one = self.one
+        return {one(_node(a, b)): ca * cb for a, ca in left.items() for b, cb in right.items()}
+
 
 # ---------------------------------------------------------------------------
 # word combinatorics for the relation sources
 
 
-def _word_bracket(w: tuple[int, ...], mover: int) -> Mono:
-    """Standard Lyndon bracketing over generators p(mover, letter)."""
+def _word_bracket(w: tuple[int, ...], mover: int, one: Callable = lambda m: m) -> Mono:
+    """Standard Lyndon bracketing over generators p(mover, letter), each
+    word passed through one (a calculus' one, to take its objects)."""
     if len(w) == 1:
-        return ("g", mover, w[0])
+        return one(("g", mover, w[0]))
     u, v = standard_factorization(w)
-    return _node(_word_bracket(u, mover), _word_bracket(v, mover))
+    return one(_node(_word_bracket(u, mover, one), _word_bracket(v, mover, one)))
 
 
 def source_words(n: int) -> list[tuple[int, ...]]:
@@ -207,7 +236,8 @@ def source_words(n: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=1)
 def _calculus(odd: bool, n: int) -> BraidCalculus:
-    """One calculus per relation family, so its memo goes when the next starts."""
+    """One calculus per relation family, so that its table and memos go when
+    the next starts."""
     return BraidCalculus(odd)
 
 
@@ -217,10 +247,6 @@ def _bilinear(m: Mono, leaf_sum: Callable, product: Callable) -> Element:
     if m[0] == "g":
         return leaf_sum(m[2])
     return product(_bilinear(m[1], leaf_sum, product), _bilinear(m[2], leaf_sum, product))
-
-
-def _formal_product(left: Element, right: Element) -> Element:
-    return {_node(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
 def doubling_image(w: tuple[int, ...], n: int, odd: bool) -> TreeVector:
@@ -235,7 +261,7 @@ def doubling_image(w: tuple[int, ...], n: int, odd: bool) -> TreeVector:
     the top layer that remain are read off as trees.
     """
     t = next(c for c, k in Counter(w).items() if k == 2)
-    return bracket_doubling_image(_word_bracket(w, n), t, n, odd)
+    return bracket_doubling_image(_word_bracket(w, n, _calculus(odd, n).one), t, n, odd)
 
 
 def bracket_doubling_image(bracket: Mono, t: int, n: int, odd: bool) -> TreeVector:
@@ -245,6 +271,7 @@ def bracket_doubling_image(bracket: Mono, t: int, n: int, odd: bool) -> TreeVect
     the Lyndon-word sources (linearity); exposed for that cross-check.
     """
     calc = _calculus(odd, n)
+    one = calc.one
     acc: Element = {}
 
     # double the repeated target t: copies {t, t+1}, targets above t shift up;
@@ -252,57 +279,88 @@ def bracket_doubling_image(bracket: Mono, t: int, n: int, odd: bool) -> TreeVect
     # layer n+1, hence already normal: the product is the formal one.
     def target_sum(x: int) -> Element:
         if x == t:
-            return {("g", n + 1, t): 1, ("g", n + 1, t + 1): 1}
-        return {("g", n + 1, x if x < t else x + 1): 1}
+            return {one(("g", n + 1, t)): 1, one(("g", n + 1, t + 1)): 1}
+        return {one(("g", n + 1, x if x < t else x + 1)): 1}
 
-    for mono, c in _bilinear(bracket, target_sum, _formal_product).items():
+    for mono, c in _bilinear(bracket, target_sum, calc.formal_product).items():
         _add(acc, mono, c * (-1) ** t)
 
     # double the mover n: copies {n, n+1}, each leaf picks a copy.  The two
     # choices that leave a copy unused stay in layer n or repeat a target.
     def mover_sum(x: int) -> Element:
-        return {("g", n, x): 1, ("g", n + 1, x): 1}
+        return {one(("g", n, x)): 1, one(("g", n + 1, x)): 1}
 
     for mono, c in _bilinear(bracket, mover_sum, calc.bracket).items():
         _add(acc, mono, c * (-1) ** n)
 
-    return top_layer_vector(acc, n, odd)
+    return top_layer_vector(acc, n, odd, calc._walks)
 
 
-def top_layer_vector(elem: Element, n: int, odd: bool) -> TreeVector:
+def top_layer_vector(
+    elem: Element, n: int, odd: bool, walks: dict[Mono, Walk] | None = None
+) -> TreeVector:
     """The multilinear words of layer n+1 in a normalised element, as trees.
 
-    One walk per word builds its tree and drops the word at the first
-    generator whose mover is not n+1 or whose target repeats.  Normalisation
-    keeps every word at n generators, all with targets below their mover,
-    so a word that survives uses each of the points 1..n exactly once.  In
-    odd dimension a tree takes the parity of its leaf-target word as sign:
-    the correction between odd-graded bracket words and ungraded trees.
+    A word is dropped at the first generator whose mover is not n+1 or whose
+    target repeats.  Normalisation keeps every word at n generators, all
+    with targets below their mover, so a word that survives uses each of
+    the points 1..n exactly once.  In odd dimension a tree takes the parity
+    of its leaf-target word as sign: the correction between odd-graded
+    bracket words and ungraded trees.
+
+    Each sub-word below a root is walked once into walks (a Walk: its tree,
+    targets and inversions, or None), which a caller may keep across calls
+    of one degree and parity (bracket_doubling_image keeps its calculus'
+    _walks); a root then costs its two halves' lookups, one Tree, and in odd
+    dimension the inversions between its halves.
     """
     top = n + 1
-
-    def walk(m: Mono) -> Tree | None:
-        if m[0] == "g":
-            if m[1] != top or m[2] in targets:
-                return None
-            targets.append(m[2])
-            return leaf(m[2])
-        left = walk(m[1])
-        if left is None:
-            return None
-        right = walk(m[2])
-        return None if right is None else Tree(None, left, right)
-
+    if walks is None:
+        walks = {}
     terms: dict[Tree, int] = {}
     for mono, c in elem.items():
-        targets: list[int] = []
-        tree = walk(mono)
-        if tree is None:
+        got = (_join if mono[0] == "b" else _walk)(mono, top, odd, walks)
+        if got is None:
             continue
-        if odd:
-            for i, x in enumerate(targets):
-                for y in targets[i + 1:]:
-                    if x > y:
-                        c = -c
+        tree, _, inversions = got
+        if odd and inversions % 2:
+            c = -c
         terms[tree] = terms.get(tree, 0) + c
     return TreeVector.from_dict(terms) if any(terms.values()) else TreeVector.zero(n)
+
+
+# not closures: two that call each other form a reference cycle, which
+# would keep the calculus' memo alive until the cycle collector ran
+
+
+def _walk(m: Mono, top: int, odd: bool, walks: dict[Mono, Walk]) -> Walk:
+    out = walks.get(m, False)
+    if out is False:
+        if m[0] == "b":
+            out = _join(m, top, odd, walks)
+        else:
+            out = (leaf(m[2]), 1 << m[2], 0) if m[1] == top else None
+        walks[m] = out
+    return out
+
+
+def _join(m: Mono, top: int, odd: bool, walks: dict[Mono, Walk]) -> Walk:
+    """A bracket word's walk from its two halves' memoised ones."""
+    left = _walk(m[1], top, odd, walks)
+    if left is None:
+        return None
+    right = _walk(m[2], top, odd, walks)
+    if right is None or left[1] & right[1]:
+        return None
+    inversions = left[2] + right[2] + _crossings(left[1], right[1]) if odd else 0
+    return Tree(None, left[0], right[0]), left[1] | right[1], inversions
+
+
+def _crossings(left: int, right: int) -> int:
+    """The pairs x > y of a target x in the bitmask left and y in right."""
+    count = 0
+    while right:
+        low = right & -right
+        count += (left & -low).bit_count()
+        right ^= low
+    return count

@@ -616,7 +616,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             raise UsageError(f"{flag} takes one of {', '.join(kind)}, not {text!r}")
         try:
             values[flag] = text if isinstance(kind, tuple) else kind(text)
-        except ValueError:  # read_integer is the one converter that raises it
+        except ValueError as exc:  # read_integer is the one converter that raises it
+            if str(exc).endswith("has too many digits"):  # too long to echo
+                raise UsageError(f"{flag} has too many digits") from None
             raise UsageError(f"{flag} takes an integer, not {text!r}") from None
     if missing := [flag for flag, value in values.items() if value is REQUIRED]:
         raise UsageError(f"{command} needs {', '.join(missing)}")

@@ -1,6 +1,8 @@
 """Structural identities of the bracket calculus behind the stu2 families."""
 
+import hashlib
 import os
+import weakref
 
 import pytest
 
@@ -43,6 +45,87 @@ def test_parities_agree_mod_2(n):
     for w in braidlie.source_words(n):
         odd, even = (braidlie.doubling_image(w, n, o) for o in PARITIES)
         assert {t: abs(c) for t, c in odd.terms} == {t: abs(c) for t, c in even.terms}, w
+
+
+def _images_sha256(degrees):
+    h = hashlib.sha256()
+    for n in degrees:
+        for odd in PARITIES:
+            for w in braidlie.source_words(n):
+                v = braidlie.doubling_image(w, n, odd)
+                h.update(f"{n} {int(odd)} {''.join(map(str, w))} {v.serialize()}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("degrees, digest", [
+    (range(3, 7), "43de2ad4e63e35745f912e0304551d225c6165117a6352d9535cfa895f8cfe4f"),
+    pytest.param((7,), "c2b28fc39b4bd5c79c7a75f722ddf427f33a6e8286aeafec89e9cf8c2aa3b12d",
+                 marks=pytest.mark.skipif(
+                     not os.environ.get("JACOBITREES_ACCEPT_N8"),
+                     reason="n = 7 takes ~1 s; set JACOBITREES_ACCEPT_N8=1")),
+], ids=("3-6", "7"))
+def test_doubling_images_pinned(degrees, digest):
+    # every source word's image in both parities, terms and coefficients
+    assert _images_sha256(degrees) == digest
+
+
+def test_reversed_source_words_give_the_same_images():
+    # the family's memos fill in another order on a fresh calculus
+    for odd in PARITIES:
+        for n in (5, 6):
+            words = braidlie.source_words(n)
+            braidlie._calculus.cache_clear()
+            forward = [braidlie.doubling_image(w, n, odd) for w in words]
+            braidlie._calculus.cache_clear()
+            backward = [braidlie.doubling_image(w, n, odd) for w in reversed(words)]
+            assert [v.terms for v in forward] == [v.terms for v in reversed(backward)]
+
+
+def test_a_family_builds_one_object_per_monomial():
+    # every word reachable from the calculus' table, pair cache and walk
+    # memo, subwords included, is the one object of its value
+    for odd in PARITIES:
+        for w in braidlie.source_words(6):
+            braidlie.doubling_image(w, 6, odd)
+        calc = braidlie._calculus(odd, 6)
+        first, visited = {}, set()
+
+        def visit(m):
+            if id(m) in visited:
+                return
+            visited.add(id(m))
+            assert first.setdefault(m, m) is m, m
+            if m[0] == "b":
+                visit(m[1])
+                visit(m[2])
+
+        for m, same in calc._monos.items():
+            assert same is m
+            visit(m)
+        for (a, b), items in calc._pair_cache.items():
+            for m in (a, b, *(m for m, _ in items)):
+                visit(m)
+        for m in calc._walks:
+            visit(m)
+        assert len(first) == len(calc._monos) and calc._walks and calc._pair_cache
+
+
+def test_the_next_family_frees_the_last_calculus():
+    # _calculus keeps one family's calculus; a dict takes no weak reference,
+    # so a probe that only the table or the memo holds stands for each
+    class Probe:
+        pass
+
+    braidlie.doubling_image((1, 1, 2), 3, True)
+    calc = braidlie._calculus(True, 3)
+    in_table, in_memo = Probe(), Probe()
+    calc._monos[in_table] = in_table
+    calc._walks[in_memo] = None
+    refs = [weakref.ref(x) for x in (calc, in_table, in_memo)]
+    del calc, in_table, in_memo
+    assert all(r() is not None for r in refs)
+    braidlie.doubling_image((1, 1, 2), 3, False)
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_top_layer_vector_reads_multilinear_top_words():

@@ -905,6 +905,25 @@ def test_an_integer_flag_reads_one_sign_and_ascii_digits(capsys, argv):
     assert err == f"usage error: {argv[-2]} takes an integer, not {argv[-1]!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--n"],
+        ["table", "--max-n"],
+        ["magnus", "--tree", "[1,2]", "--truncate"],
+    ],
+    ids=" ".join,
+)
+def test_an_integer_flag_too_long_for_int_is_not_echoed(capsys, argv):
+    # one short line, where the value itself would print 5000 digits
+    code, out, err = run_cli(capsys, *argv, "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {argv[-1]} has too many digits\n"
+    code, out, err = run_cli(capsys, *argv, "x")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {argv[-1]} takes an integer, not 'x'\n"
+
+
 def test_a_plus_sign_reads_as_no_sign(capsys):
     for signed, plain in (
         (["enum", "--n", "+3"], ["enum", "--n", "3"]),
